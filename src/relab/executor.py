@@ -18,6 +18,14 @@ Two backends share one contract:
   The template is trusted to enforce isolation (read-only mount flag,
   disabled network); the stage command is appended after the template.
 
+A stage whose command is the default ``python3 -m relab.refpipe`` may
+instead run as a fork of a ``StageZygote``: one interpreter per
+scheduler ``execute`` call that imports the reference pipeline once, so
+a stage skips the interpreter start and the numpy import. A forked stage
+gets the same environment, working directory and log as a spawned one,
+and ``run_stage`` applies the same mount sweep, timeout and checks to
+it; a custom command or the container backend always spawns.
+
 Network denial under ``local_process`` is best-effort only (environment
 scrubbing, no kernel sandboxing); treat it as honest-but-unenforced.
 
@@ -30,15 +38,22 @@ digest lands in the result.
 
 from __future__ import annotations
 
+import json
 import os
+import select
+import signal
+import socket
 import subprocess
+import sys
+import threading
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple
+from typing import BinaryIO, Dict, Mapping, Optional, Tuple
 
 from .hashing import sha256_file
-from .manifest import StageSpec
+from .manifest import DEFAULT_STAGE_COMMAND, StageSpec
 from .registry import AccessPolicy, ExportDecision, check_export
 
 STATUS_SUCCEEDED = "succeeded"
@@ -56,6 +71,15 @@ TIMEOUT_GRACE_SECONDS = 5.0
 LOG_FILE_NAME = "_stage.log"
 
 DEFAULT_MAX_OUTPUT_BYTES = 64 * 1024 * 1024
+
+# the part of a stage's environment its interpreter reads at start-up,
+# which a zygote is launched with; every other key is the unit's own
+ZYGOTE_ENV_KEYS = ("PATH", "LANG", "PYTHONHASHSEED", "PYTHONPATH")
+_ZYGOTE_CODE = (
+    "import sys; from relab.executor import _zygote_main; "
+    "_zygote_main(int(sys.argv[1]))"
+)
+_REQUEST_BYTES = 1 << 20
 
 
 class ExecutorError(ValueError):
@@ -215,10 +239,47 @@ def _restore_modes(original: Dict[Path, int]) -> None:
             path.chmod(mode)
 
 
+def _forkable(stage: StageSpec, backend: ExecutorBackend) -> bool:
+    """Whether a zygote may run the stage: the local default command only."""
+    return backend.kind == BACKEND_LOCAL and stage.command == DEFAULT_STAGE_COMMAND
+
+
+def _run_subprocess(
+    command: Tuple[str, ...],
+    cwd: Path,
+    env: Mapping[str, str],
+    log: BinaryIO,
+    timeout: float,
+) -> Tuple[int, bool, str]:
+    """Spawn the stage command; returns (exit code, timed out, cause)."""
+    proc = subprocess.Popen(
+        command, cwd=cwd, env=env, stdout=log, stderr=subprocess.STDOUT
+    )
+    timed_out = False
+    try:
+        proc.wait(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        timed_out = True
+        proc.terminate()
+        try:
+            proc.wait(timeout=TIMEOUT_GRACE_SECONDS)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+    return proc.returncode, timed_out, ""
+
+
 def run_stage(
-    stage: StageSpec, sandbox: SandboxSpec, backend: ExecutorBackend
+    stage: StageSpec,
+    sandbox: SandboxSpec,
+    backend: ExecutorBackend,
+    zygote: Optional[StageZygote] = None,
 ) -> StageResult:
     """Execute one stage to completion and classify the outcome.
+
+    With a ``zygote``, a stage running the default command on the local
+    backend is forked from it; otherwise, or when the zygote forks
+    nothing, the command is spawned as a subprocess.
 
     Status precedence: policy_violation (mount mutated) beats timeout
     beats nonzero-exit beats missing-output; only a clean run with all
@@ -241,27 +302,16 @@ def run_stage(
         else {}
     )
     started = time.monotonic()
-    timed_out = False
     try:
         with open(log_path, "wb") as log:
-            proc = subprocess.Popen(
-                command,
-                cwd=sandbox.scratch_dir,
-                env=env,
-                stdout=log,
-                stderr=subprocess.STDOUT,
-            )
-            try:
-                proc.wait(timeout=timeout)
-            except subprocess.TimeoutExpired:
-                timed_out = True
-                proc.terminate()
-                try:
-                    proc.wait(timeout=TIMEOUT_GRACE_SECONDS)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait()
-        exit_code = proc.returncode
+            outcome = None
+            if zygote is not None and _forkable(stage, backend):
+                outcome = zygote.run(sandbox.scratch_dir, env, log, timeout)
+            if outcome is None:
+                outcome = _run_subprocess(
+                    command, sandbox.scratch_dir, env, log, timeout
+                )
+        exit_code, timed_out, cause = outcome
     finally:
         _restore_modes(original_modes)
     duration = time.monotonic() - started
@@ -300,7 +350,7 @@ def run_stage(
     if timed_out:
         return result(STATUS_TIMEOUT, detail=f"exceeded {timeout}s wall clock")
     if exit_code != 0:
-        return result(STATUS_FAILED, detail=f"exit code {exit_code}")
+        return result(STATUS_FAILED, detail=cause or f"exit code {exit_code}")
 
     digests = {}
     missing = []
@@ -360,3 +410,217 @@ def collect_outputs(
         dst.write_bytes(src.read_bytes())
         exported.append(decision.path)
     return tuple(exported), decisions
+
+
+# ---------------------------------------------------------------------------
+# warm stage workers
+
+
+class StageZygote:
+    """One pre-imported interpreter that forks a child per stage.
+
+    Starting an interpreter and importing numpy costs far more than a
+    reference stage's own work. The zygote is a ``python3`` process
+    launched with a stage's ``ZYGOTE_ENV_KEYS`` (so hash seed, module
+    path and BLAS set-up match a spawned stage), which imports
+    ``relab.refpipe`` once and holds no Python threads. For each stage
+    it receives the stage's cwd and environment over a socket, with the
+    log and a status pipe as passed file descriptors, and forks; the
+    child reports its pid and exit code on the pipe.
+
+    The zygote starts at the first ``run`` and is stopped by ``close``.
+    A zygote that died is started again at the next ``run``; once a
+    start fails, ``run`` returns None, and the caller spawns the stage.
+    Worker threads may call ``run`` concurrently.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._proc: Optional[subprocess.Popen] = None
+        self._sock: Optional[socket.socket] = None
+        self._failed = False
+
+    @property
+    def pid(self) -> Optional[int]:
+        """The running zygote's pid, if one was started."""
+        return None if self._proc is None else self._proc.pid
+
+    def run(
+        self, cwd: Path, env: Mapping[str, str], log: BinaryIO, timeout: float
+    ) -> Optional[Tuple[int, bool, str]]:
+        """Run one stage in a fork; returns (exit code, timed out, cause).
+
+        Returns None when no child ran: the zygote could not be started,
+        or it was lost before it forked. A stage still running at
+        ``timeout`` gets a terminate, ``TIMEOUT_GRACE_SECONDS`` of grace,
+        then a kill, by the pid it reported.
+        """
+        sock = self._connect(cwd, env, timeout)
+        if sock is None:
+            return None
+        request = json.dumps({"cwd": str(cwd), "env": dict(env)}).encode()
+        read_fd, write_fd = os.pipe()
+        try:
+            try:
+                socket.send_fds(sock, [request], [log.fileno(), write_fd])
+            except OSError:
+                return None
+            finally:
+                os.close(write_fd)
+            status = _StatusPipe(read_fd)
+            status.read(timeout)
+            if status.eof and status.pid is None:
+                return None
+            timed_out = not status.eof
+            signalled = 0
+            if timed_out:
+                status.read(TIMEOUT_GRACE_SECONDS, until_pid=True)
+                for sig in (signal.SIGTERM, signal.SIGKILL):
+                    if status.eof or status.pid is None:
+                        break
+                    try:
+                        os.kill(status.pid, sig)
+                    except ProcessLookupError:
+                        break
+                    signalled = sig
+                    status.read(TIMEOUT_GRACE_SECONDS)
+        finally:
+            os.close(read_fd)
+        if status.exit_code is not None:
+            return status.exit_code, timed_out, ""
+        if signalled:
+            return -signalled, timed_out, ""
+        return -1, timed_out, (
+            f"stage process {status.pid} forked from the stage zygote "
+            "ended without reporting an exit code"
+        )
+
+    def close(self) -> None:
+        """Stop the zygote and reap it; stages it forked are not waited for."""
+        with self._lock:
+            self._stop()
+
+    def _connect(
+        self, cwd: Path, env: Mapping[str, str], timeout: float
+    ) -> Optional[socket.socket]:
+        with self._lock:
+            if self._proc is not None and self._proc.poll() is None:
+                return self._sock
+            self._stop()
+            if self._failed:
+                return None
+            self._sock, theirs = socket.socketpair(
+                socket.AF_UNIX, socket.SOCK_SEQPACKET
+            )
+            try:
+                with theirs:
+                    self._proc = subprocess.Popen(
+                        (DEFAULT_STAGE_COMMAND[0], "-c", _ZYGOTE_CODE,
+                         str(theirs.fileno())),
+                        cwd=cwd,
+                        env={k: env[k] for k in ZYGOTE_ENV_KEYS if k in env},
+                        stdin=subprocess.DEVNULL,
+                        stdout=subprocess.DEVNULL,
+                        stderr=subprocess.DEVNULL,
+                        pass_fds=(theirs.fileno(),),
+                    )
+                self._sock.settimeout(timeout)
+                ready = self._sock.recv(16) == b"ready"
+                self._sock.settimeout(None)
+            except OSError:  # includes a start-up slower than the timeout
+                ready = False
+            if not ready:
+                self._stop()
+                self._failed = True
+                return None
+            return self._sock
+
+    def _stop(self) -> None:
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
+        if self._proc is not None:
+            # it holds nothing to flush, and a kill skips the tens of
+            # milliseconds an interpreter with numpy takes to shut down
+            self._proc.kill()
+            self._proc.wait()
+            self._proc = None
+
+
+class _StatusPipe:
+    """A forked stage's report: its pid, then its exit code, a line each."""
+
+    def __init__(self, fd: int):
+        self._poll = select.poll()
+        self._poll.register(fd, select.POLLIN)
+        self._fd = fd
+        self._data = b""
+        self.eof = False
+
+    def _line(self, index: int) -> Optional[int]:
+        lines = self._data.split(b"\n")[:-1]
+        return int(lines[index]) if len(lines) > index else None
+
+    @property
+    def pid(self) -> Optional[int]:
+        return self._line(0)
+
+    @property
+    def exit_code(self) -> Optional[int]:
+        return self._line(1)
+
+    def read(self, timeout: float, until_pid: bool = False) -> None:
+        """Read until end-of-file (or a pid) or until ``timeout`` passes."""
+        deadline = time.monotonic() + timeout
+        while not self.eof and not (until_pid and self.pid is not None):
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self._poll.poll(remaining * 1000):
+                return
+            chunk = os.read(self._fd, 64)
+            self._data += chunk
+            self.eof = not chunk
+
+
+def _zygote_main(fd: int) -> None:
+    """Zygote body: fork a stage per request on socket ``fd`` until EOF."""
+    from . import refpipe  # noqa: F401  the import every fork shares
+
+    signal.signal(signal.SIGCHLD, signal.SIG_IGN)  # the kernel reaps forks
+    with socket.socket(fileno=fd) as sock:
+        sock.send(b"ready")
+        while True:
+            request, fds, _, _ = socket.recv_fds(sock, _REQUEST_BYTES, 2)
+            if not request:
+                return
+            if os.fork() == 0:
+                _stage_child(request, *fds)
+            for passed in fds:
+                os.close(passed)
+
+
+def _stage_child(request: bytes, log_fd: int, status_fd: int) -> None:
+    """A forked stage: set up as a spawned one would be, run, ``_exit``."""
+    code = 1
+    try:
+        os.write(status_fd, b"%d\n" % os.getpid())
+        os.dup2(log_fd, 1)
+        os.dup2(log_fd, 2)
+        os.closerange(3, status_fd)
+        os.closerange(status_fd + 1, os.sysconf("SC_OPEN_MAX"))
+        signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+        unit = json.loads(request)
+        os.chdir(unit["cwd"])
+        os.environ.clear()
+        os.environ.update(unit["env"])
+        from .refpipe import run_stage_from_env
+
+        code = run_stage_from_env()
+    except Exception:
+        traceback.print_exc()
+    finally:
+        try:  # the child must never return into the zygote's loop
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os.write(status_fd, b"%d\n" % code)
+        finally:
+            os._exit(code)

@@ -36,10 +36,6 @@ def lp(data: bytes) -> bytes:
     return len(data).to_bytes(8, "big") + data
 
 
-def lp_str(text: str) -> bytes:
-    return lp(text.encode("utf-8"))
-
-
 def lp_u64(value: int) -> bytes:
     if not 0 <= value < 1 << 64:
         raise ValueError(f"value out of u64 range: {value}")

@@ -482,11 +482,6 @@ def _manifest_text_for(record: TrialRecord, cache: CacheStore) -> str:
         )
 
 
-def stash_manifest(cache: CacheStore, manifest: JobManifest) -> str:
-    """Keep the canonical manifest bytes in the blob store for export."""
-    return cache.put_blob(canonicalize(manifest))
-
-
 def import_bundle(
     src: Path, ledger: TrialLedger, cache: CacheStore
 ) -> TrialRecord:

@@ -23,8 +23,12 @@ Execution runs a single coordinator and a bounded worker pool. Ready
 units dispatch in lexicographic (course_id, session_id, stage) order;
 cached units are marked without executing; a failure skips exactly the
 failed unit's transitive dependents, so one course's failure never
-touches another course. Job state changes append to a JSONL event log
-that fully reconstructs the job after a restart.
+touches another course. Default-command stages are forked from one
+``StageZygote`` per ``execute`` call. A succeeded unit's work tree is
+deleted once its outputs are in the cache and in ``results/``; a failed
+unit's tree stays, with the stage log that explains it. Job state
+changes append to a JSONL event log that fully reconstructs the job
+after a restart.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import shutil
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -44,10 +49,11 @@ from .executor import (
     ExecutorBackend,
     SandboxSpec,
     StageResult,
+    StageZygote,
     collect_outputs,
     run_stage,
 )
-from .hashing import canonical_json_bytes, sha256_bytes, sha256_concat
+from .hashing import canonical_json_bytes, sha256_bytes
 from .manifest import JobManifest, canonicalize, parse_manifest, render_manifest
 from .manifest import validate_manifest
 from .provenance import CacheStore, cache_key
@@ -595,7 +601,8 @@ class Scheduler:
         for unit in job.units:
             for dep in unit.depends_on:
                 dependents[dep].append(unit.unit_id)
-        cache_hits = 0
+        hits: Dict[str, Mapping[str, str]] = {}  # unit id -> output digests
+        misses = set()  # ready units already probed and found absent
 
         def ready() -> List[WorkUnit]:
             out = [
@@ -618,7 +625,11 @@ class Scheduler:
                     stack.extend(dependents[uid])
 
         futures = {}
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        # the zygote is local to this call: serve runs several jobs at once;
+        # it is closed after the pool has waited for every worker
+        with closing(StageZygote()) as zygote, ThreadPoolExecutor(
+            max_workers=parallelism
+        ) as pool:
             while True:
                 with job.lock:
                     cancelled = job.cancel_requested
@@ -627,18 +638,27 @@ class Scheduler:
                         while progressed:
                             progressed = False
                             for unit in ready():
-                                entry = self.cache.get(unit.cache_key)
+                                entry = (
+                                    None
+                                    if unit.unit_id in misses
+                                    else self.cache.get(unit.cache_key)
+                                )
                                 if entry is not None:
                                     self.cache.materialize(
                                         entry, self._results_dir(job, unit)
                                     )
                                     job.set_unit_state(unit.unit_id, UNIT_CACHED)
-                                    cache_hits += 1
+                                    hits[unit.unit_id] = entry.output_digests
                                     progressed = True
                                 elif len(futures) < parallelism:
                                     job.set_unit_state(unit.unit_id, UNIT_RUNNING)
-                                    fut = pool.submit(self._run_unit, job, unit)
+                                    deps = [units_by_id[d] for d in unit.depends_on]
+                                    fut = pool.submit(
+                                        self._run_unit, job, unit, deps, zygote
+                                    )
                                     futures[fut] = unit
+                                else:
+                                    misses.add(unit.unit_id)
                     if cancelled or not futures:
                         break
                 done, _ = wait(futures, return_when=FIRST_COMPLETED)
@@ -685,7 +705,7 @@ class Scheduler:
                 else:
                     job.set_phase("failed")
         report = self._assemble_report(
-            job, cache_hits, time.monotonic() - started
+            job, hits, time.monotonic() - started
         )
         (job.dir / "report.json").write_bytes(
             canonical_json_bytes(report.to_json_obj())
@@ -697,8 +717,17 @@ class Scheduler:
     def _results_dir(self, job: _Job, unit: WorkUnit) -> Path:
         return job.dir / "results" / unit.unit_id
 
-    def _run_unit(self, job: _Job, unit: WorkUnit) -> StageResult:
-        """Worker body: stage inputs, run the sandboxed stage, export."""
+    def _run_unit(
+        self,
+        job: _Job,
+        unit: WorkUnit,
+        deps: List[WorkUnit],
+        zygote: StageZygote,
+    ) -> StageResult:
+        """Worker body: stage inputs, run the sandboxed stage, export.
+
+        A succeeded unit's work tree is deleted; a failed one's is kept.
+        """
         work = job.dir / "work" / unit.unit_id
         if work.exists():
             shutil.rmtree(work)
@@ -708,7 +737,7 @@ class Scheduler:
         for d in (data, scratch, out):
             d.mkdir(parents=True)
         try:
-            self._stage_inputs(job, unit, data)
+            self._stage_inputs(unit, deps, data)
         except Exception as exc:
             return StageResult(
                 status="failed",
@@ -729,16 +758,19 @@ class Scheduler:
             },
             image_ref=job.manifest.image_ref,
         )
-        result = run_stage(job.manifest.stage(unit.stage), sandbox, self.backend)
+        result = run_stage(
+            job.manifest.stage(unit.stage), sandbox, self.backend, zygote
+        )
         if result.status == STATUS_SUCCEEDED:
             collect_outputs(result, self.policy, out, self._results_dir(job, unit))
             self.cache.put(unit.cache_key, result.output_digests, out)
+            shutil.rmtree(work, ignore_errors=True)
         return result
 
-    def _stage_inputs(self, job: _Job, unit: WorkUnit, data: Path) -> None:
+    def _stage_inputs(
+        self, unit: WorkUnit, deps: List[WorkUnit], data: Path
+    ) -> None:
         """Build the unit's read-only data tree from registry and cache."""
-        units_by_id = {u.unit_id: u for u in job.units}
-        deps = [units_by_id[d] for d in unit.depends_on]
         if unit.stage == "extract":
             course = self.registry.load_course(unit.course_id)
             session = course.session(unit.session_id)
@@ -782,7 +814,7 @@ class Scheduler:
     # -- reporting ---------------------------------------------------------------
 
     def _assemble_report(
-        self, job: _Job, cache_hits: int, wall_clock: float
+        self, job: _Job, hits: Mapping[str, Mapping[str, str]], wall_clock: float
     ) -> JobReport:
         entries = []
         eval_artifacts = {}
@@ -792,8 +824,6 @@ class Scheduler:
                 state = job.unit_states[unit.unit_id]
                 result = job.results.get(unit.unit_id)
                 if state == UNIT_CACHED:
-                    cached = self.cache.get(unit.cache_key)
-                    digests = dict(cached.output_digests)
                     entry = UnitReport(
                         unit_id=unit.unit_id,
                         stage=unit.stage,
@@ -802,7 +832,7 @@ class Scheduler:
                         state=state,
                         cache_key=unit.cache_key,
                         stage_status="cached",
-                        output_digests=digests,
+                        output_digests=dict(hits[unit.unit_id]),
                     )
                 elif result is not None:
                     entry = UnitReport(
@@ -838,7 +868,7 @@ class Scheduler:
                 entries=tuple(entries),
                 data_digests=job.data_digests,
                 eval_artifacts=eval_artifacts,
-                cache_hits=cache_hits,
+                cache_hits=len(hits),
                 wall_clock=wall_clock,
             )
 

@@ -2,8 +2,10 @@
 
 import hashlib
 import os
+import signal
 import stat
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,13 +19,14 @@ from relab.executor import (
     ExecutorBackend,
     ExecutorError,
     SandboxSpec,
+    StageZygote,
     build_command,
     collect_outputs,
     run_stage,
     stage_environment,
 )
 from relab.hashing import sha256_file
-from relab.manifest import StageSpec
+from relab.manifest import DEFAULT_STAGE_COMMAND, StageSpec
 from relab.registry import AccessPolicy
 
 
@@ -374,6 +377,96 @@ class TestRunStage:
         result = run_stage(stage, sb, backend)
         assert result.status == STATUS_SUCCEEDED
         assert (sb.output_dir / "ok.csv").read_text() == "ok"
+
+
+def zygote_children(zygote):
+    path = Path(f"/proc/{zygote.pid}/task/{zygote.pid}/children")
+    return path.read_text().split()
+
+
+class TestStageZygote:
+    def default_stage(self):
+        return StageSpec(
+            name="extract",
+            command=DEFAULT_STAGE_COMMAND,
+            timeout=30.0,
+            outputs=("features.csv", "labels.csv"),
+        )
+
+    def test_forked_stage_fails_like_a_spawned_one(self, tmp_path, spawned):
+        zygote = StageZygote()
+        try:
+            result = run_stage(
+                self.default_stage(), make_sandbox(tmp_path), BACKEND, zygote
+            )
+        finally:
+            zygote.close()
+        assert spawned == []
+        assert result.status == STATUS_FAILED
+        assert result.exit_code == 1
+        assert result.detail == "exit code 1"
+        assert b"extract stage failed" in result.log_path.read_bytes()
+
+    def test_tiny_timeout_kills_the_forked_stage(self, tmp_path, spawned):
+        zygote = StageZygote()
+        try:
+            # the first run starts the zygote; the second blocks opening a
+            # FIFO, which the mount sweep passes over as not a regular file
+            for name in ("warm", "hang"):
+                (tmp_path / name).mkdir()
+            run_stage(
+                self.default_stage(),
+                make_sandbox(tmp_path / "warm"),
+                BACKEND,
+                zygote,
+            )
+            sb = make_sandbox(tmp_path / "hang", timeout=0.2)
+            os.mkfifo(sb.data_mount / "params.json")
+            result = run_stage(self.default_stage(), sb, BACKEND, zygote)
+            assert spawned == []
+            assert result.status == STATUS_TIMEOUT
+            assert result.exit_code == -signal.SIGTERM
+            deadline = time.monotonic() + 5.0
+            while zygote_children(zygote) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert zygote_children(zygote) == []
+            pid = zygote.pid
+        finally:
+            zygote.close()
+        assert zygote.pid is None
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+    def test_custom_command_and_container_spawn(self, tmp_path, spawned):
+        zygote = StageZygote()
+        container = ExecutorBackend(
+            kind=BACKEND_CONTAINER,
+            runtime_command_template=(
+                "/bin/sh", "-c", 'exit 0', "{IMAGE}", "{DATA_MOUNT}", "{OUTPUT_DIR}",
+            ),
+        )
+        try:
+            run_stage(
+                sh_stage("exit 0", name="evaluate"),
+                make_sandbox(tmp_path),
+                BACKEND,
+                zygote,
+            )
+            run_stage(
+                StageSpec(
+                    name="evaluate",
+                    command=DEFAULT_STAGE_COMMAND,
+                    timeout=30.0,
+                    outputs=(),
+                ),
+                make_sandbox(tmp_path),
+                container,
+                zygote,
+            )
+            assert zygote.pid is None
+        finally:
+            zygote.close()
+        assert [c[0] for c in spawned] == ["/bin/sh", "/bin/sh"]
 
 
 class TestCollectOutputs:

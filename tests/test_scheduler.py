@@ -1,11 +1,17 @@
 """Tests for job planning, execution, state tracking, and reports."""
 
 import json
+import os
+import signal
+import subprocess
 import threading
 import time
 
 import pytest
 
+import relab.executor as executor
+import relab.scheduler as scheduler_module
+from relab.executor import StageZygote
 from relab.manifest import (
     EvalConfig,
     JobManifest,
@@ -485,6 +491,139 @@ class TestCancel:
             and e["ts"] > t_ack
         ]
         assert late_starts == []
+
+
+@pytest.fixture
+def zygote_pids(monkeypatch):
+    """Pids of the stage zygotes that executed units while the test runs."""
+    pids = []
+
+    class Recording(StageZygote):
+        def run(self, *args):
+            outcome = super().run(*args)
+            if self.pid is not None and self.pid not in pids:
+                pids.append(self.pid)
+            return outcome
+
+    monkeypatch.setattr(scheduler_module, "StageZygote", Recording)
+    return pids
+
+
+def assert_gone(pids):
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def run_job(registry, root, manifest, parallelism=1):
+    sched = Scheduler(root, registry)
+    job_id = sched.submit(manifest)
+    sched.plan(job_id)
+    return sched, job_id, sched.execute(job_id, parallelism=parallelism)
+
+
+class TestStageZygote:
+    def test_fork_and_subprocess_paths_agree(
+        self, corpus_registry, tmp_path, monkeypatch, zygote_pids, spawned
+    ):
+        fork_sched, fork_job, forked = run_job(
+            corpus_registry, tmp_path / "fork", make_manifest("both", k=3)
+        )
+        assert forked.phase == "succeeded"
+        assert spawned == [] and len(zygote_pids) == 1
+        assert_gone(zygote_pids)
+
+        monkeypatch.setattr(executor, "_forkable", lambda stage, backend: False)
+        spawn_sched, spawn_job, spawned_report = run_job(
+            corpus_registry, tmp_path / "spawn", make_manifest("both", k=3)
+        )
+        assert len(spawned) == len(spawned_report.entries) == 24
+        assert len(zygote_pids) == 1
+
+        def digests(report):
+            return {e.unit_id: dict(e.output_digests) for e in report.entries}
+
+        def aucs(sched, job_id):
+            return [
+                (r.course_id, r.scheme, r.auc)
+                for r in sched.eval_report(job_id).rows
+            ]
+
+        assert digests(forked) == digests(spawned_report)
+        assert forked.determinism_digest() == spawned_report.determinism_digest()
+        assert aucs(fork_sched, fork_job) == aucs(spawn_sched, spawn_job)
+
+    def test_succeeded_work_trees_deleted(self, executed):
+        sched, job_id, report = executed
+        job_dir = sched.jobs_dir / job_id
+        assert list((job_dir / "work").iterdir()) == []
+        assert all(
+            (job_dir / "results" / e.unit_id).is_dir() for e in report.entries
+        )
+
+    def test_failed_unit_keeps_its_work_tree(self, tmp_path):
+        registry = Registry(tmp_path / "registry")
+        generate_and_register(CORPUS, registry)
+        victim = registry.load_course("course001").sessions[0]
+        meta = registry.session_dir("course001", victim.session_id) / "session.json"
+        meta.write_text("not json")
+        sched, job_id, report = run_job(
+            registry,
+            tmp_path / "engine",
+            make_manifest(
+                "holdout",
+                selector=DatasetSelector(kind="whole_course", course_id="course001"),
+            ),
+        )
+        kept = [p.name for p in (sched.jobs_dir / job_id / "work").iterdir()]
+        assert kept == [f"course001:{victim.session_id}:extract"]
+        log = sched.jobs_dir / job_id / "work" / kept[0] / "scratch" / "_stage.log"
+        assert b"extract stage failed" in log.read_bytes()
+
+    def test_cached_rerun_starts_no_process(self, executed, monkeypatch):
+        sched, job_id, first = executed
+        started = []
+        real = subprocess.Popen
+
+        def spy(*args, **kwargs):
+            started.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", spy)
+        job2 = sched.submit(make_manifest("both", k=3))
+        sched.plan(job2)
+        second = sched.execute(job2, parallelism=1)
+        assert second.cache_hits == len(second.entries)
+        assert started == []
+
+    def test_killed_zygote_is_replaced(
+        self, executed, corpus_registry, tmp_path, zygote_pids
+    ):
+        _, _, reference = executed
+        sched = Scheduler(tmp_path, corpus_registry)
+        job_id = sched.submit(make_manifest("both", k=3))
+        sched.plan(job_id)
+        reports = {}
+        thread = threading.Thread(
+            target=lambda: reports.setdefault(
+                "report", sched.execute(job_id, parallelism=2)
+            )
+        )
+        thread.start()
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline and (
+            not zygote_pids or sched.status(job_id).counts()["done"] < 2
+        ):
+            time.sleep(0.01)
+        os.kill(zygote_pids[0], signal.SIGKILL)
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+
+        report = reports["report"]
+        assert report.phase == "succeeded"
+        assert report.determinism_digest() == reference.determinism_digest()
+        assert len(zygote_pids) >= 2
+        assert_gone(zygote_pids)
 
 
 class TestEngineMatchesLibrary:
