@@ -69,6 +69,17 @@ class Engine:
     ) -> Tuple[str, JobReport, Optional[TrialRecord]]:
         """Submit, plan, execute; record a trial when the job succeeds."""
         job_id = self.scheduler.submit(manifest)
+        report, trial = self.finish_job(job_id, manifest, parallelism, parent_trial_id)
+        return job_id, report, trial
+
+    def finish_job(
+        self,
+        job_id: str,
+        manifest: JobManifest,
+        parallelism: int = 1,
+        parent_trial_id: Optional[str] = None,
+    ) -> Tuple[JobReport, Optional[TrialRecord]]:
+        """Plan and execute a submitted job; record a trial if it succeeds."""
         self.scheduler.plan(job_id)
         report = self.scheduler.execute(job_id, parallelism)
         trial = None
@@ -80,7 +91,7 @@ class Engine:
                 parent_trial_id=parent_trial_id,
                 cache=self.cache,
             )
-        return job_id, report, trial
+        return report, trial
 
     def manifest_for_trial(self, record: TrialRecord) -> JobManifest:
         text = self.cache.get_blob(record.manifest_digest).decode("utf-8")

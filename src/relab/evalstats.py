@@ -1,4 +1,5 @@
-"""Evaluation statistics: AUC, confidence intervals, paired tests, splitters.
+"""Evaluation statistics: AUC, confidence intervals, paired tests, the
+evaluation design (which session plays which role) and fold assignment.
 
 Everything here is deterministic given its inputs. scipy is imported lazily
 and only for the Student-t quantile; the rest is numpy and stdlib math so
@@ -22,16 +23,14 @@ __all__ = [
     "EvalRow",
     "PairedAuc",
     "PairedSample",
-    "SessionRef",
-    "SplitPlan",
     "StatTestResult",
     "WeekBias",
     "auc",
     "bias_report",
     "build_eval_report",
-    "holdout_split",
     "kfold_split",
     "mean_ci",
+    "session_roles",
     "wilcoxon_signed_rank",
 ]
 
@@ -86,25 +85,6 @@ class PairedSample:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-
-@dataclass(frozen=True)
-class SessionRef:
-    """Minimal session handle used by splitters: an id and a start date."""
-
-    session_id: str
-    start_date: object
-
-
-@dataclass(frozen=True)
-class SplitPlan:
-    """How sessions (or rows) are divided into training and testing roles."""
-
-    scheme: str
-    train_session_ids: tuple = ()
-    test_session_id: Optional[str] = None
-    k: Optional[int] = None
-    seed: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -321,29 +301,27 @@ def wilcoxon_signed_rank(
 
 
 # ---------------------------------------------------------------------------
-# splitters
+# evaluation design and folds
 
 
-def holdout_split(sessions: Sequence) -> SplitPlan:
-    """Train on all sessions but the chronologically last; test on the last.
+def session_roles(n_sessions: int, holdout: bool, cv: bool) -> tuple:
+    """Positional roles of ``n_sessions`` sessions in start-date order.
 
-    Ties on start date break toward the larger session_id so the choice is
-    total. Needs at least two sessions.
+    Returns ``(train, test, cv_session)``. The holdout arm trains on every
+    session but the latest (``train``, a range) and tests on the latest
+    (``test``). The cross-validation arm splits one session into folds:
+    with the holdout arm beside it, that is the most recent session the
+    holdout arm trains on (the second-to-latest), the estimate one would
+    compute before the future session runs; on its own, the latest. An
+    arm that does not run gets an empty range or None. Holdout needs at
+    least two sessions.
     """
-    items = list(sessions)
-    if len(items) < 2:
-        raise ValueError("holdout_split requires at least two sessions")
-    ids = [s.session_id for s in items]
-    if len(set(ids)) != len(ids):
-        raise ValueError("session ids must be unique")
-    ordered = sorted(items, key=lambda s: (s.start_date, s.session_id))
-    test = ordered[-1]
-    train = tuple(s.session_id for s in ordered[:-1])
-    return SplitPlan(
-        scheme=SCHEME_HOLDOUT,
-        train_session_ids=train,
-        test_session_id=test.session_id,
-    )
+    last = n_sessions - 1
+    if not holdout:
+        return range(0), None, last if cv else None
+    if n_sessions < 2:
+        raise ValueError("holdout requires >= 2 sessions")
+    return range(last), last, last - 1 if cv else None
 
 
 def kfold_split(n: int, k: int, seed: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 from .manifest import JobManifest, ManifestError, parse_manifest
-from .provenance import ProvenanceError, export_bundle, record_trial
+from .provenance import ProvenanceError, export_bundle
 from .scheduler import TERMINAL_PHASES, SchedulerError
 
 
@@ -56,12 +56,8 @@ class Gateway(ThreadingHTTPServer):
 
     def _run_job(self, job_id: str, manifest: JobManifest) -> None:
         try:
-            self.engine.scheduler.plan(job_id)
-            report = self.engine.scheduler.execute(job_id, self.parallelism)
-            if report.phase == "succeeded":
-                trial = record_trial(
-                    self.engine.ledger, report, manifest, cache=self.engine.cache
-                )
+            _, trial = self.engine.finish_job(job_id, manifest, self.parallelism)
+            if trial is not None:
                 with self._lock:
                     self.trial_ids[job_id] = trial.trial_id
         except Exception as exc:  # worker threads must never die silently

@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from .evalstats import session_roles
 from .hashing import canonical_json_bytes
 from .registry import DatasetSelector, Registry, RegistryError
 
@@ -313,7 +314,7 @@ def validate_manifest(m: JobManifest, registry: Registry) -> ValidationReport:
     """Check a manifest against registry state; violations are data.
 
     Violations: unresolvable selector, holdout over a single-session
-    course. Warnings: CV fold count exceeding the smallest pooled learner
+    course. Warnings: CV fold count exceeding the CV session's learner
     count (when roster sizes are discoverable from session metadata).
     """
     violations = []
@@ -329,13 +330,19 @@ def validate_manifest(m: JobManifest, registry: Registry) -> ValidationReport:
     for course_id, session_id in pairs:
         by_course.setdefault(course_id, []).append(session_id)
 
+    cfg = m.eval_config
     for course_id, session_ids in sorted(by_course.items()):
         course = registry.load_course(course_id)
-        if m.eval_config.uses_holdout and len(session_ids) < 2:
-            violations.append(
-                f"holdout requires >= 2 sessions; course {course_id!r} selects "
-                f"{len(session_ids)}"
+        # the selector lists a course's sessions in start-date order
+        try:
+            _, _, cv_idx = session_roles(
+                len(session_ids), cfg.uses_holdout, cfg.uses_cv
             )
+        except ValueError as exc:
+            violations.append(
+                f"{exc}; course {course_id!r} selects {len(session_ids)}"
+            )
+            cv_idx = None
         for session in course.sessions:
             if session.session_id not in session_ids:
                 continue
@@ -344,27 +351,24 @@ def validate_manifest(m: JobManifest, registry: Registry) -> ValidationReport:
                     f"feature_weeks={m.feature_weeks} must be < num_weeks="
                     f"{session.num_weeks} for {course_id}/{session.session_id}"
                 )
-        if m.eval_config.uses_cv:
-            total = _pooled_learner_count(registry, course_id, session_ids)
-            if total is not None and m.eval_config.k > total:
+        if cv_idx is not None:
+            cv_session = session_ids[cv_idx]
+            count = _learner_count(registry, course_id, cv_session)
+            if count is not None and cfg.k > count:
                 warnings.append(
-                    f"cv k={m.eval_config.k} exceeds pooled learner count "
-                    f"{total} for course {course_id!r}"
+                    f"cv k={cfg.k} exceeds pooled learner count {count} of cv "
+                    f"session {cv_session!r} in course {course_id!r}"
                 )
     return ValidationReport(violations=tuple(violations), warnings=tuple(warnings))
 
 
-def _pooled_learner_count(registry, course_id, session_ids) -> Optional[int]:
-    """Total roster size across sessions, if session metadata is readable."""
-    total = 0
-    for session_id in session_ids:
-        meta_path = registry.session_dir(course_id, session_id) / "session.json"
-        try:
-            meta = json.loads(meta_path.read_text("utf-8"))
-            total += len(meta["learners"])
-        except (OSError, ValueError, KeyError):
-            return None
-    return total
+def _learner_count(registry, course_id, session_id) -> Optional[int]:
+    """A session's roster size, if its metadata is readable."""
+    meta_path = registry.session_dir(course_id, session_id) / "session.json"
+    try:
+        return len(json.loads(meta_path.read_text("utf-8"))["learners"])
+    except (OSError, ValueError, KeyError):
+        return None
 
 
 __all__ = [

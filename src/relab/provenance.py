@@ -250,9 +250,10 @@ class CacheStore:
         )
         with self._lock:
             path = self._entry_path(key)
-            if not path.exists():
-                path.write_bytes(canonical_json_bytes(entry.to_json_obj()))
-        return self.get(key)
+            if path.exists():  # another writer bound the key meanwhile
+                return self.get(key)
+            path.write_bytes(canonical_json_bytes(entry.to_json_obj()))
+        return entry
 
     def materialize(self, entry: CacheEntry, dest_dir: Path) -> None:
         """Write a cached unit's files into dest_dir, verifying each blob."""

@@ -241,9 +241,6 @@ class Registry:
 
     # -- paths ------------------------------------------------------------
 
-    def course_dir(self, course_id: str) -> Path:
-        return self.data_dir / course_id
-
     def session_dir(self, course_id: str, session_id: str) -> Path:
         return self.data_dir / course_id / session_id
 

@@ -3,14 +3,14 @@
 Planning turns a validated manifest into a DAG of work units, one per
 (course, session, stage) with per-fold units for cross-validation:
 
-* holdout over sessions s1..sn in start-date order: one extract unit per
-  session, one train unit over s1..s(n-1), one test unit on sn.
-* cross-validation with k folds inside one session: the session's
+* holdout: one extract unit per session, one train unit over the
+  training sessions, one test unit on the test session.
+* cross-validation with k folds inside the CV session: that session's
   extract unit plus k (train, test) pairs sharing it.
 * both schemes: the union of the two plans, sharing extract units and
-  one per-course evaluate unit. The CV session is the most recent one
-  the holdout arm trains on (second-to-latest); a pure CV job over a
-  multi-session course uses the latest session.
+  one per-course evaluate unit.
+
+Which session plays which role is ``evalstats.session_roles``.
 
 Every unit gets a cache key at planning time, chained Merkle-style:
 extract keys hash the registered data-file digests, downstream keys hash
@@ -19,9 +19,11 @@ the unit's parameter document, and the job seed. Identical configuration
 therefore reuses cached outputs no matter which job produced them, and
 the cache store is the only channel through which units exchange data.
 
-Execution runs a single coordinator and a bounded worker pool. Ready
-units dispatch in lexicographic (course_id, session_id, stage) order;
-cached units are marked without executing; a failure skips exactly the
+Execution runs a single coordinator and a bounded worker pool. A unit
+is ready once its last dependency settles; while a worker is free, the
+ready unit first in lexicographic (course_id, session_id, stage) order
+dispatches, or is marked without executing when cached. A cancel stops
+dispatching and waits for the units in flight. A failure skips exactly the
 failed unit's transitive dependents, so one course's failure never
 touches another course. Default-command stages are forked from one
 ``StageZygote`` per ``execute`` call. A succeeded unit's work tree is
@@ -33,6 +35,7 @@ after a restart.
 
 from __future__ import annotations
 
+import heapq
 import json
 import shutil
 import threading
@@ -43,7 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .evalstats import EvalReport, EvalRow, build_eval_report
+from .evalstats import EvalReport, EvalRow, build_eval_report, session_roles
 from .executor import (
     STATUS_SUCCEEDED,
     ExecutorBackend,
@@ -56,7 +59,7 @@ from .executor import (
 from .hashing import canonical_json_bytes, sha256_bytes
 from .manifest import JobManifest, canonicalize, parse_manifest, render_manifest
 from .manifest import validate_manifest
-from .provenance import CacheStore, cache_key
+from .provenance import CacheEntry, CacheStore, cache_key
 from .refpipe import Hyperparams
 from .registry import AccessPolicy, Registry
 
@@ -79,6 +82,19 @@ UNIT_SKIPPED = "skipped"
 UNIT_CACHED = "cached"
 
 _SETTLED = (UNIT_DONE, UNIT_CACHED)
+
+# what a unit's report shows when no stage ran for it
+_NOT_RUN = StageResult(status="", exit_code=0, duration=0.0, log_digest="")
+
+
+def _cached(entry: CacheEntry) -> StageResult:
+    return StageResult(
+        status="cached",
+        exit_code=0,
+        duration=0.0,
+        log_digest="",
+        output_digests=entry.output_digests,
+    )
 
 
 class SchedulerError(Exception):
@@ -248,24 +264,20 @@ def plan_units(
     units: List[WorkUnit] = []
     data_digests = set()
 
+    use_holdout = manifest.eval_config.uses_holdout
+    use_cv = manifest.eval_config.uses_cv
     for course_id in sorted(by_course):
         course = registry.load_course(course_id)
-        sessions = [s for s in course.sessions if s.session_id in by_course[course_id]]
         # course.sessions are stored in start-date order already
-        use_holdout = manifest.eval_config.uses_holdout
-        use_cv = manifest.eval_config.uses_cv
-        if use_holdout and len(sessions) < 2:
-            raise SchedulerError(
-                f"holdout requires >= 2 sessions for course {course_id!r}"
+        sessions = [s for s in course.sessions if s.session_id in by_course[course_id]]
+        try:
+            train_idx, test_idx, cv_idx = session_roles(
+                len(sessions), use_holdout, use_cv
             )
-        if use_holdout and use_cv:
-            cv_session = sessions[-2]
-        elif use_cv:
-            cv_session = sessions[-1]
-        else:
-            cv_session = None
+        except ValueError as exc:
+            raise SchedulerError(f"{exc} for course {course_id!r}") from None
 
-        extract_sessions = list(sessions) if use_holdout else [cv_session]
+        extract_sessions = sessions if use_holdout else [sessions[cv_idx]]
         extract_units: Dict[str, WorkUnit] = {}
         extract_params = {"feature_weeks": manifest.feature_weeks}
         for session in extract_sessions:
@@ -290,10 +302,9 @@ def plan_units(
 
         test_units: List[WorkUnit] = []
         if use_holdout:
-            train_sessions = sessions[:-1]
-            test_session = sessions[-1]
+            test_session = sessions[test_idx]
             train_params = {"hyperparams": hyper}
-            train_deps = [extract_units[s.session_id] for s in train_sessions]
+            train_deps = [extract_units[sessions[i].session_id] for i in train_idx]
             train = WorkUnit(
                 unit_id=f"{course_id}:holdout:train",
                 stage="train",
@@ -330,6 +341,7 @@ def plan_units(
 
         if use_cv:
             k = manifest.eval_config.k
+            cv_session = sessions[cv_idx]
             cv_extract = extract_units[cv_session.session_id]
             for fold in range(1, k + 1):
                 fold_params = {
@@ -601,28 +613,27 @@ class Scheduler:
         for unit in job.units:
             for dep in unit.depends_on:
                 dependents[dep].append(unit.unit_id)
-        hits: Dict[str, Mapping[str, str]] = {}  # unit id -> output digests
-        misses = set()  # ready units already probed and found absent
+        # dependencies not yet settled; a unit is ready when its count is 0
+        unsettled = {u.unit_id: len(u.depends_on) for u in job.units}
+        ready = [u.sort_key() for u in job.units if not u.depends_on]
+        heapq.heapify(ready)
 
-        def ready() -> List[WorkUnit]:
-            out = [
-                units_by_id[uid]
-                for uid, state in job.unit_states.items()
-                if state == UNIT_PENDING
-                and all(
-                    job.unit_states[d] in _SETTLED
-                    for d in units_by_id[uid].depends_on
-                )
-            ]
-            return sorted(out, key=WorkUnit.sort_key)
-
-        def skip_dependents(unit_id: str) -> None:
-            stack = list(dependents[unit_id])
-            while stack:
-                uid = stack.pop()
-                if job.unit_states[uid] == UNIT_PENDING:
-                    job.set_unit_state(uid, UNIT_SKIPPED)
-                    stack.extend(dependents[uid])
+        def finish(unit_id: str, state: str, result: StageResult) -> None:
+            """Record an outcome; ready the dependents or skip them."""
+            job.results[unit_id] = result
+            job.set_unit_state(unit_id, state)
+            if state == UNIT_FAILED:
+                stack = list(dependents[unit_id])
+                while stack:
+                    uid = stack.pop()
+                    if job.unit_states[uid] == UNIT_PENDING:
+                        job.set_unit_state(uid, UNIT_SKIPPED)
+                        stack.extend(dependents[uid])
+                return
+            for uid in dependents[unit_id]:
+                unsettled[uid] -= 1
+                if not unsettled[uid]:
+                    heapq.heappush(ready, units_by_id[uid].sort_key())
 
         futures = {}
         # the zygote is local to this call: serve runs several jobs at once;
@@ -632,60 +643,35 @@ class Scheduler:
         ) as pool:
             while True:
                 with job.lock:
-                    cancelled = job.cancel_requested
-                    if not cancelled:
-                        progressed = True
-                        while progressed:
-                            progressed = False
-                            for unit in ready():
-                                entry = (
-                                    None
-                                    if unit.unit_id in misses
-                                    else self.cache.get(unit.cache_key)
-                                )
-                                if entry is not None:
-                                    self.cache.materialize(
-                                        entry, self._results_dir(job, unit)
-                                    )
-                                    job.set_unit_state(unit.unit_id, UNIT_CACHED)
-                                    hits[unit.unit_id] = entry.output_digests
-                                    progressed = True
-                                elif len(futures) < parallelism:
-                                    job.set_unit_state(unit.unit_id, UNIT_RUNNING)
-                                    deps = [units_by_id[d] for d in unit.depends_on]
-                                    fut = pool.submit(
-                                        self._run_unit, job, unit, deps, zygote
-                                    )
-                                    futures[fut] = unit
-                                else:
-                                    misses.add(unit.unit_id)
-                    if cancelled or not futures:
-                        break
+                    # after a cancel nothing new starts; in-flight units finish
+                    while (
+                        ready
+                        and len(futures) < parallelism
+                        and not job.cancel_requested
+                    ):
+                        unit = units_by_id[heapq.heappop(ready)[-1]]
+                        entry = self.cache.get(unit.cache_key)
+                        if entry is not None:
+                            self.cache.materialize(
+                                entry, self._results_dir(job, unit)
+                            )
+                            finish(unit.unit_id, UNIT_CACHED, _cached(entry))
+                        else:
+                            job.set_unit_state(unit.unit_id, UNIT_RUNNING)
+                            deps = [units_by_id[d] for d in unit.depends_on]
+                            fut = pool.submit(
+                                self._run_unit, job, unit, deps, zygote
+                            )
+                            futures[fut] = unit
+                if not futures:
+                    break
                 done, _ = wait(futures, return_when=FIRST_COMPLETED)
                 for fut in done:
                     unit = futures.pop(fut)
                     result = fut.result()
+                    ok = result.status == STATUS_SUCCEEDED
                     with job.lock:
-                        job.results[unit.unit_id] = result
-                        if result.status == STATUS_SUCCEEDED:
-                            job.set_unit_state(unit.unit_id, UNIT_DONE)
-                        else:
-                            job.set_unit_state(unit.unit_id, UNIT_FAILED)
-                            skip_dependents(unit.unit_id)
-
-            # drain whatever was in flight when a cancel arrived
-            if futures:
-                wait(list(futures))
-                for fut, unit in futures.items():
-                    result = fut.result()
-                    with job.lock:
-                        job.results[unit.unit_id] = result
-                        job.set_unit_state(
-                            unit.unit_id,
-                            UNIT_DONE
-                            if result.status == STATUS_SUCCEEDED
-                            else UNIT_FAILED,
-                        )
+                        finish(unit.unit_id, UNIT_DONE if ok else UNIT_FAILED, result)
 
         with job.lock:
             if job.cancel_requested:
@@ -704,9 +690,7 @@ class Scheduler:
                     job.set_phase("partial")
                 else:
                     job.set_phase("failed")
-        report = self._assemble_report(
-            job, hits, time.monotonic() - started
-        )
+        report = self._assemble_report(job, time.monotonic() - started)
         (job.dir / "report.json").write_bytes(
             canonical_json_bytes(report.to_json_obj())
         )
@@ -813,49 +797,26 @@ class Scheduler:
 
     # -- reporting ---------------------------------------------------------------
 
-    def _assemble_report(
-        self, job: _Job, hits: Mapping[str, Mapping[str, str]], wall_clock: float
-    ) -> JobReport:
+    def _assemble_report(self, job: _Job, wall_clock: float) -> JobReport:
         entries = []
         eval_artifacts = {}
         with job.lock:
             manifest_digest = sha256_bytes(canonicalize(job.manifest))
             for unit in sorted(job.units, key=WorkUnit.sort_key):
                 state = job.unit_states[unit.unit_id]
-                result = job.results.get(unit.unit_id)
-                if state == UNIT_CACHED:
-                    entry = UnitReport(
-                        unit_id=unit.unit_id,
-                        stage=unit.stage,
-                        course_id=unit.course_id,
-                        session_id=unit.session_id,
-                        state=state,
-                        cache_key=unit.cache_key,
-                        stage_status="cached",
-                        output_digests=dict(hits[unit.unit_id]),
-                    )
-                elif result is not None:
-                    entry = UnitReport(
-                        unit_id=unit.unit_id,
-                        stage=unit.stage,
-                        course_id=unit.course_id,
-                        session_id=unit.session_id,
-                        state=state,
-                        cache_key=unit.cache_key,
-                        stage_status=result.status,
-                        output_digests=dict(result.output_digests),
-                        duration=result.duration,
-                        detail=result.detail,
-                    )
-                else:
-                    entry = UnitReport(
-                        unit_id=unit.unit_id,
-                        stage=unit.stage,
-                        course_id=unit.course_id,
-                        session_id=unit.session_id,
-                        state=state,
-                        cache_key=unit.cache_key,
-                    )
+                result = job.results.get(unit.unit_id, _NOT_RUN)
+                entry = UnitReport(
+                    unit_id=unit.unit_id,
+                    stage=unit.stage,
+                    course_id=unit.course_id,
+                    session_id=unit.session_id,
+                    state=state,
+                    cache_key=unit.cache_key,
+                    stage_status=result.status,
+                    output_digests=dict(result.output_digests),
+                    duration=result.duration,
+                    detail=result.detail,
+                )
                 entries.append(entry)
                 if unit.stage == "evaluate" and state in _SETTLED:
                     digest = entry.output_digests.get("metrics.json", "")
@@ -868,15 +829,9 @@ class Scheduler:
                 entries=tuple(entries),
                 data_digests=job.data_digests,
                 eval_artifacts=eval_artifacts,
-                cache_hits=len(hits),
+                cache_hits=list(job.unit_states.values()).count(UNIT_CACHED),
                 wall_clock=wall_clock,
             )
-
-    def load_report(self, job_id: str) -> Optional[dict]:
-        path = self.jobs_dir / job_id / "report.json"
-        if not path.is_file():
-            return None
-        return json.loads(path.read_text())
 
     def eval_report(self, job_id: str) -> EvalReport:
         """Pool every course's metrics artifact into one evaluation table."""

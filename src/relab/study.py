@@ -12,11 +12,13 @@ asserts that equivalence.
 The two evaluation architectures answer the same question ("how good is
 a dropout model for this course?") the two ways practitioners answer it:
 
-* holdout: train on every session but the chronologically last, score
-  the last session: performance of a deployed model on a future cohort.
-* cross_validation: k-fold within the most recent *training* session,
-  out-of-fold predictions pooled and scored once, the estimate one
-  would compute from the data available before the future session runs.
+* holdout: train on earlier sessions, score a future one: performance
+  of a deployed model on a future cohort.
+* cross_validation: k-fold within one training session, out-of-fold
+  predictions pooled and scored once.
+
+Both arms run on every course, with the sessions ``evalstats.session_roles``
+assigns.
 
 With no between-session shift the two agree in expectation; with shift,
 cross-validation never pays the transfer cost and reads high.
@@ -44,6 +46,7 @@ from .evalstats import (
     auc,
     bias_report,
     kfold_split,
+    session_roles,
 )
 from .refpipe import Hyperparams, Standardizer, predict, train_logreg
 from .synthdata import SynthConfig, course_id_for, sample_session
@@ -100,14 +103,14 @@ def _fit_and_score(X_train, y_train, X_test, hp):
 def course_pairs(cfg: StudyConfig, course_idx: int) -> Tuple[PairedAuc, ...]:
     """(holdout, cv) AUC pairs for one course, one pair per study week.
 
-    Holdout: train pooled on all sessions but the chronologically last,
-    score the last. CV: k-fold within the most recent training session
-    (the second-to-last), out-of-fold predictions pooled, scored once.
+    Sessions take the roles ``session_roles`` gives a job running both
+    schemes; CV's out-of-fold predictions are pooled and scored once.
     """
     sessions = [
         sample_session(cfg.synth, course_idx, s)
         for s in range(cfg.synth.sessions_per_course)
     ]
+    train_idx, test_idx, cv_idx = session_roles(len(sessions), True, True)
     hp = cfg.hyperparams
     pairs = []
     for w in cfg.weeks:
@@ -115,13 +118,12 @@ def course_pairs(cfg: StudyConfig, course_idx: int) -> Tuple[PairedAuc, ...]:
         y_parts = [s.labels for s in sessions]
 
         # future-session holdout: sessions are in chronological order
-        X_train = np.vstack(X_parts[:-1])
-        y_train = np.concatenate(y_parts[:-1])
-        holdout_scores = _fit_and_score(X_train, y_train, X_parts[-1], hp)
-        holdout_auc = auc(holdout_scores, y_parts[-1])
+        X_train = np.vstack([X_parts[i] for i in train_idx])
+        y_train = np.concatenate([y_parts[i] for i in train_idx])
+        holdout_scores = _fit_and_score(X_train, y_train, X_parts[test_idx], hp)
+        holdout_auc = auc(holdout_scores, y_parts[test_idx])
 
-        # k-fold CV inside the last training session
-        X_cv, y_cv = X_parts[-2], y_parts[-2]
+        X_cv, y_cv = X_parts[cv_idx], y_parts[cv_idx]
         assignment = kfold_split(len(y_cv), cfg.k, cfg.effective_fold_seed)
         scores = np.empty(len(y_cv))
         for fold in range(1, cfg.k + 1):

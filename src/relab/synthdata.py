@@ -43,7 +43,6 @@ SHA-256(LP(seed_be8) || LP(course_be8) || LP(session_be8)), big-endian.
 from __future__ import annotations
 
 import datetime as dt
-import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List
@@ -51,7 +50,7 @@ from typing import List
 import numpy as np
 
 from .hashing import sha256_concat
-from .refpipe import EVENT_TYPES, WEEK_SECONDS, EventLog
+from .refpipe import EVENT_TYPES, WEEK_SECONDS, EventLog, _sigmoid, date_epoch
 
 ENGAGEMENT_SIGMA = 0.6
 TYPE_CORR = 0.5  # correlation of per-type engagements through the shared factor
@@ -148,15 +147,6 @@ class SessionSample:
         return self.counts[:, :feature_weeks, :].reshape(n, -1).astype(float)
 
 
-def _sigmoid(z):
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def sample_session(cfg: SynthConfig, course_idx: int, session_idx: int) -> SessionSample:
     """Draw one session's counts and dropout structure, deterministically.
 
@@ -244,12 +234,7 @@ def generate_session(cfg: SynthConfig, course_idx: int, session_idx: int) -> Eve
     ev_type = np.repeat(type_grid.reshape(-1), flat)
     offsets = rng.integers(0, WEEK_SECONDS, size=len(ev_learner))
 
-    start_epoch = int(
-        dt.datetime.combine(
-            sample.start_date, dt.time(), tzinfo=dt.timezone.utc
-        ).timestamp()
-    )
-    timestamps = start_epoch + (ev_week - 1) * WEEK_SECONDS + offsets
+    timestamps = date_epoch(sample.start_date) + (ev_week - 1) * WEEK_SECONDS + offsets
     roster = np.array(sample.learner_ids, dtype=object)
     return EventLog(
         session_id=sample.session_id,
@@ -304,10 +289,3 @@ def generate_and_register(cfg: SynthConfig, registry) -> List[str]:
     for descriptor in descriptors:
         registry.register_course(descriptor)
     return [d["course_id"] for d in descriptors]
-
-
-def clear_corpus(registry_root: Path) -> None:
-    """Remove a generated data tree (test/bench helper)."""
-    data_dir = Path(registry_root) / "data"
-    if data_dir.exists():
-        shutil.rmtree(data_dir)

@@ -1,4 +1,5 @@
-"""Tests for the evaluation harness: AUC, CIs, Wilcoxon, splitters, bias report.
+"""Tests for the evaluation harness: AUC, CIs, Wilcoxon, session roles,
+folds, bias report.
 
 Expected values come from independent oracles computed in this file
 (brute-force pairwise AUC, full sign-pattern enumeration for the Wilcoxon
@@ -23,9 +24,9 @@ from relab.evalstats import (
     auc,
     bias_report,
     build_eval_report,
-    holdout_split,
     kfold_split,
     mean_ci,
+    session_roles,
     wilcoxon_signed_rank,
 )
 
@@ -260,51 +261,26 @@ class TestWilcoxon:
 
 
 # ---------------------------------------------------------------------------
-# splitters
+# session roles and folds
 
 
-def _sess(session_id, date):
-    import datetime as dt
+class TestSessionRoles:
+    def test_holdout_trains_on_all_but_latest(self):
+        train, test, cv = session_roles(4, holdout=True, cv=False)
+        assert list(train) == [0, 1, 2] and test == 3 and cv is None
 
-    return evalstats.SessionRef(session_id, dt.date.fromisoformat(date))
+    def test_both_splits_the_latest_training_session(self):
+        train, test, cv = session_roles(3, holdout=True, cv=True)
+        assert list(train) == [0, 1] and test == 2 and cv == 1
 
+    def test_cv_alone_splits_the_latest_session(self):
+        for n in (1, 3):
+            train, test, cv = session_roles(n, holdout=False, cv=True)
+            assert list(train) == [] and test is None and cv == n - 1
 
-class TestHoldoutSplit:
-    def test_latest_session_is_test(self):
-        plan = holdout_split(
-            [_sess("a", "2013-01-07"), _sess("b", "2013-06-03"), _sess("c", "2014-01-06")]
-        )
-        assert plan.test_session_id == "c"
-        assert plan.train_session_ids == ("a", "b")
-
-    def test_two_sessions(self):
-        plan = holdout_split([_sess("later", "2020-05-04"), _sess("early", "2020-01-06")])
-        assert plan.test_session_id == "later"
-        assert plan.train_session_ids == ("early",)
-
-    def test_tie_broken_by_session_id(self):
-        plan = holdout_split([_sess("x", "2020-01-06"), _sess("y", "2020-01-06")])
-        assert plan.test_session_id == "y"
-
-    def test_single_session_rejected(self):
-        with pytest.raises(ValueError):
-            holdout_split([_sess("only", "2020-01-06")])
-
-    def test_temporal_invariant(self):
-        rng = np.random.default_rng(5)
-        import datetime as dt
-
-        base = dt.date(2019, 1, 7)
-        for _ in range(50):
-            n = int(rng.integers(2, 8))
-            sessions = [
-                _sess(f"s{i}", str(base + dt.timedelta(days=int(rng.integers(0, 900)))))
-                for i in range(n)
-            ]
-            plan = holdout_split(sessions)
-            by_id = {s.session_id: s.start_date for s in sessions}
-            test_date = by_id[plan.test_session_id]
-            assert all(by_id[t] <= test_date for t in plan.train_session_ids)
+    def test_holdout_needs_two_sessions(self):
+        with pytest.raises(ValueError, match="holdout requires >= 2 sessions"):
+            session_roles(1, holdout=True, cv=True)
 
 
 class TestKfold:

@@ -357,3 +357,37 @@ class TestValidateManifest:
         report = validate_manifest(m, r)
         assert report.ok  # warning, not violation
         assert any("exceeds pooled learner count" in w for w in report.warnings)
+
+    def test_cv_k_warning_counts_only_the_cv_session(self, tmp_path):
+        from relab.manifest import EvalConfig, default_manifest, validate_manifest
+
+        def meta(n):
+            return json.dumps({"learners": [f"l{i}" for i in range(n)]}).encode()
+
+        r = make_registry(
+            tmp_path,
+            {
+                "two": [
+                    ("s1", "2020-01-06", {"events.csv": b"x", "session.json": meta(3)}),
+                    ("s2", "2020-06-01", {"events.csv": b"y", "session.json": meta(6)}),
+                ]
+            },
+        )
+
+        def warnings(scheme):
+            m = default_manifest(
+                experiment_name="exp",
+                selector=DatasetSelector(kind="whole_course", course_id="two"),
+                eval_config=EvalConfig(scheme=scheme, k=5),
+                seed=1,
+                feature_weeks=2,
+            )
+            report = validate_manifest(m, r)
+            assert report.ok
+            return report.warnings
+
+        # both: folds split s1 (3 learners), although 9 are pooled
+        (warning,) = warnings("both")
+        assert "exceeds pooled learner count 3" in warning and "'s1'" in warning
+        # cross-validation alone: folds split s2 (6 learners)
+        assert warnings("cross_validation") == ()

@@ -1,5 +1,6 @@
 """Tests for job planning, execution, state tracking, and reports."""
 
+import hashlib
 import json
 import os
 import signal
@@ -219,6 +220,49 @@ class TestPlanShapes:
         assert list(digests) == sorted(digests)
 
 
+def literal_registry(root):
+    """Two courses whose data files are literal bytes, for golden digests."""
+    registry = Registry(root)
+    courses = {
+        "course-a": [("2013-spring", "2013-01-07"), ("2013-fall", "2013-09-02"),
+                     ("2014-spring", "2014-01-06")],
+        "course-b": [("2015-spring", "2015-03-02"), ("2015-fall", "2015-09-07")],
+    }
+    for course_id, sessions in courses.items():
+        descriptor = {"course_id": course_id, "platform_schema": "event-log-v1",
+                      "sessions": []}
+        for session_id, start in sessions:
+            sdir = registry.session_dir(course_id, session_id)
+            sdir.mkdir(parents=True)
+            (sdir / "events.csv").write_bytes(f"{course_id},{session_id}\n".encode())
+            (sdir / "session.json").write_bytes(b"{}")
+            descriptor["sessions"].append({
+                "session_id": session_id, "start_date": start, "num_weeks": 5,
+                "files": ["events.csv", "session.json"],
+            })
+        registry.register_course(descriptor)
+    return registry
+
+
+class TestGoldenPlan:
+    """Cache keys stay outside determinism_digest(); pin the planned bytes."""
+
+    UNITS_JSON_SHA256 = {
+        "holdout": "afc6a3df4e598dd1cedfa6877974b5286ce1aed8f60cd2a4539240adbebac409",
+        "cross_validation":
+            "3366668499b18fa700167bf700fe0f5a0cba56f88dbd1b6d4a9adc6fe84bcf49",
+        "both": "18a3bf2b37842e07c01be3febdc74fc5f5cdb51235c53eaea3f7ea0e5d0c8b37",
+    }
+
+    @pytest.mark.parametrize("scheme", sorted(UNITS_JSON_SHA256))
+    def test_units_json_bytes(self, tmp_path, scheme):
+        sched = Scheduler(tmp_path / "engine", literal_registry(tmp_path / "reg"))
+        job_id = sched.submit(make_manifest(scheme, k=3))
+        sched.plan(job_id)
+        units_json = (tmp_path / "engine" / "jobs" / job_id / "units.json").read_bytes()
+        assert hashlib.sha256(units_json).hexdigest() == self.UNITS_JSON_SHA256[scheme]
+
+
 class TestSubmit:
     def test_valid_manifest_queued(self, corpus_registry, tmp_path):
         sched = Scheduler(tmp_path, corpus_registry)
@@ -320,6 +364,27 @@ class TestExecute:
                 assert in_flight <= 1
             elif event["state"] in ("done", "failed"):
                 in_flight -= 1
+
+    def test_serial_dispatch_takes_least_ready_unit(self, executed):
+        sched, job_id, report = executed
+        job_dir = sched.jobs_dir / job_id
+        units = {
+            u["unit_id"]: WorkUnit.from_json_obj(u)
+            for u in json.loads((job_dir / "units.json").read_text())["units"]
+        }
+        states = {}
+        for line in (job_dir / "events.jsonl").read_text().splitlines():
+            event = json.loads(line)
+            if event["event"] != "unit":
+                continue
+            if event["state"] == "running":
+                ready = [
+                    u for uid, u in units.items()
+                    if states[uid] == "pending"
+                    and all(states[d] == "done" for d in u.depends_on)
+                ]
+                assert min(ready, key=WorkUnit.sort_key).unit_id == event["unit_id"]
+            states[event["unit_id"]] = event["state"]
 
     def test_status_terminal_counts(self, executed):
         sched, job_id, report = executed
