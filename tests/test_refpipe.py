@@ -7,6 +7,7 @@ examples rely on separability arguments rather than frozen weights.
 from __future__ import annotations
 
 import datetime as dt
+import hashlib
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from relab import refpipe
 from relab.evalstats import auc
+from relab.hashing import canonical_json_bytes
 from relab.refpipe import (
     EVENT_TYPES,
     EventLog,
@@ -28,6 +30,8 @@ from relab.refpipe import (
     predict,
     train_logreg,
 )
+from relab.study import StudyConfig, run_study
+from relab.synthdata import SynthConfig
 
 START = dt.date(2020, 1, 6)
 
@@ -319,6 +323,95 @@ class TestLogisticModel:
         assert (back.weights == model.weights).all()
         assert back.bias == model.bias
         assert back.hyperparams == model.hyperparams
+
+    def test_one_iteration_fit_matches_loss_and_gradient(self):
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(37, 5))
+        y = rng.integers(0, 2, size=37).astype(float)
+        hp = Hyperparams(learning_rate=0.3, iterations=1, l2_penalty=0.01)
+        model = train_logreg(X, y, hp)
+        zero = np.zeros(5)
+        grad_w, grad_b = logistic_gradient(X, y, zero, 0.0, hp.l2_penalty)
+        assert model.loss_trace[0] == logistic_loss(X, y, zero, 0.0, hp.l2_penalty)
+        assert (model.weights == -hp.learning_rate * grad_w).all()
+        assert model.bias == -hp.learning_rate * grad_b
+        assert model.loss_trace[1] == logistic_loss(
+            X, y, model.weights, model.bias, hp.l2_penalty
+        )
+
+
+def _masked_sigmoid(z):
+    """The two-branch sigmoid the kernel once used; oracle for its bytes."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _golden_problem(seed, n, d):
+    """Standardized Poisson weekly counts with noisy labels tied to them."""
+    rng = np.random.default_rng(seed)
+    X_raw = rng.poisson(3.0, size=(n, d)).astype(float)
+    X = Standardizer.fit(X_raw).transform(X_raw)
+    y = (X[:, :3].sum(axis=1) + rng.normal(scale=1.5, size=n) < 0).astype(float)
+    return X, y
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestKernelGolden:
+    """Byte-level pins of the training kernel's outputs.
+
+    Engine digests, trial ids and study AUCs all descend from these floats,
+    so any rewrite of the kernel must keep every pin unedited.
+    """
+
+    MODEL_SHA = {
+        (2000, 14): "18e0ffd679403eda7c2c0afec7e58b8494d9b61aa4408cc81c618e8a60f298aa",
+        (600, 7): "cbe7b318ec02a9b7768b40e67da6cd21f0295108e6adfc0ddd30c5e99a47ee1c",
+    }
+    PREDICT_SHA = {
+        (2000, 14): "94c7a3557e0a14942209a6bf5390c3ad3cb9f025778b1883b4817154ae44ba10",
+        (600, 7): "d3c3f56123409d1c63a4c0c2a6943e286d29d651112977cdc8eda03e58120c8f",
+    }
+    STUDY_REPR_SHA = "82829c8b928593a4f56d2c7c3699cce0a055aebd570c3d683c1f9a297743f95e"
+
+    @pytest.mark.parametrize("shape", [(2000, 14), (600, 7)])
+    def test_model_and_predictions_pinned(self, shape):
+        X, y = _golden_problem(sum(shape), *shape)
+        model = train_logreg(X, y)
+        assert not model.degenerate
+        assert len(model.loss_trace) == model.hyperparams.iterations + 1
+        model_bytes = canonical_json_bytes(model.to_json_obj())
+        assert _sha256(model_bytes) == self.MODEL_SHA[shape]
+        X_new, _ = _golden_problem(sum(shape) + 1, 300, shape[1])
+        assert _sha256(predict(model, X_new).tobytes()) == self.PREDICT_SHA[shape]
+
+    def test_sigmoid_bytes_match_masked_formula(self):
+        special = np.array(
+            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 800.0, -800.0]
+        )
+        rng = np.random.default_rng(16)
+        z = np.concatenate(
+            [special, rng.normal(scale=12.0, size=100_000), rng.uniform(-800, 800, 50)]
+        )
+        assert refpipe._sigmoid(z).tobytes() == _masked_sigmoid(z).tobytes()
+        # unaligned and strided views take the same path through exp
+        for view in (z[3:], z[1::3]):
+            assert refpipe._sigmoid(view).tobytes() == _masked_sigmoid(view).tobytes()
+
+    def test_small_study_pinned(self):
+        cfg = StudyConfig(
+            synth=SynthConfig(
+                num_courses=2, sessions_per_course=3, learners_per_session=150, seed=5
+            ),
+            weeks=(1, 2),
+        )
+        assert _sha256(repr(run_study(cfg)).encode()) == self.STUDY_REPR_SHA
 
 
 # ---------------------------------------------------------------------------
