@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import tarfile
+import tempfile
 import threading
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -162,11 +164,31 @@ class CacheEntry:
         )
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write `data` to `path` through a tmp file private to this writer.
+
+    Readers and other writers, in this process or another, see either no
+    file or the whole one: a writer that dies mid-write leaves only its
+    own tmp file behind.
+    """
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f"{path.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 class CacheStore:
     """Entries under ``entries/<key>.json``, bytes under ``blobs/xx/<digest>``.
 
-    Writes are serialized through one lock; reads need none because both
-    entry files and blobs are immutable once written.
+    Writes are serialized through one lock and land by atomic rename;
+    reads need none because both entry files and blobs are immutable once
+    written.
     """
 
     def __init__(self, root: Path):
@@ -196,9 +218,7 @@ class CacheStore:
             with self._lock:
                 if not path.exists():
                     path.parent.mkdir(parents=True, exist_ok=True)
-                    tmp = path.with_suffix(".tmp")
-                    tmp.write_bytes(data)
-                    tmp.rename(path)
+                    _write_atomic(path, data)
         return digest
 
     def get_blob(self, digest: str) -> bytes:
@@ -252,7 +272,7 @@ class CacheStore:
             path = self._entry_path(key)
             if path.exists():  # another writer bound the key meanwhile
                 return self.get(key)
-            path.write_bytes(canonical_json_bytes(entry.to_json_obj()))
+            _write_atomic(path, canonical_json_bytes(entry.to_json_obj()))
         return entry
 
     def materialize(self, entry: CacheEntry, dest_dir: Path) -> None:

@@ -384,12 +384,13 @@ class ModelParams:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Overflow-free logistic: 1/(1+e^-z) for z >= 0, e^z/(1+e^z) below.
+
+    Both branches share one exp of -|z|, written as minimum(z, -z) because
+    `minimum` returns a NaN operand as it is, sign bit included.
+    """
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def logistic_loss(
@@ -398,7 +399,10 @@ def logistic_loss(
     """L2-regularized mean logistic loss; the bias is not penalized."""
     z = X @ weights + bias
     ce = np.logaddexp(0.0, z) - y * z
-    return float(ce.mean() + 0.5 * l2_penalty * float(weights @ weights))
+    # np.add.reduce(x) / n is the sum and division ndarray.mean makes,
+    # without its Python-level wrapper; the training loop uses the same
+    penalty = 0.5 * l2_penalty * float(weights @ weights)
+    return float(np.add.reduce(ce) / len(y) + penalty)
 
 
 def logistic_gradient(
@@ -408,7 +412,7 @@ def logistic_gradient(
     n = len(y)
     residual = _sigmoid(X @ weights + bias) - y
     grad_w = X.T @ residual / n + l2_penalty * weights
-    grad_b = float(residual.mean())
+    grad_b = float(np.add.reduce(residual) / n)
     return grad_w, grad_b
 
 
@@ -452,10 +456,11 @@ def train_logreg(
     for _ in range(hp.iterations):
         z = X @ weights + bias
         ce = np.logaddexp(0.0, z) - y * z
-        trace.append(float(ce.mean() + 0.5 * hp.l2_penalty * float(weights @ weights)))
+        penalty = 0.5 * hp.l2_penalty * float(weights @ weights)
+        trace.append(float(np.add.reduce(ce) / n + penalty))
         residual = _sigmoid(z) - y
         grad_w = X.T @ residual / n + hp.l2_penalty * weights
-        grad_b = float(residual.mean())
+        grad_b = float(np.add.reduce(residual) / n)
         weights = weights - hp.learning_rate * grad_w
         bias = bias - hp.learning_rate * grad_b
     trace.append(logistic_loss(X, y, weights, bias, hp.l2_penalty))

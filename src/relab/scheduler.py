@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import os
 import shutil
 import threading
 import time
@@ -423,6 +424,23 @@ def plan_units(
 # scheduler
 
 
+def _read_events(path: Path) -> List[dict]:
+    """Parse an event log, dropping a torn last line.
+
+    A writer killed mid-append leaves one partial line at the end, with no
+    newline. It is cut off the file, so that later appends start on a line
+    of their own; a line that fails to parse anywhere else raises.
+    """
+    data = path.read_bytes()
+    lines = data.splitlines(keepends=True)
+    if lines and not lines[-1].endswith(b"\n"):
+        try:
+            json.loads(lines[-1])
+        except json.JSONDecodeError:
+            os.truncate(path, len(data) - len(lines.pop()))
+    return [json.loads(line) for line in lines if line.strip()]
+
+
 class _Job:
     def __init__(self, job_id: str, job_dir: Path):
         self.job_id = job_id
@@ -508,15 +526,11 @@ class Scheduler:
             job.units = tuple(WorkUnit.from_json_obj(u) for u in obj["units"])
             job.data_digests = tuple(obj["data_digests"])
         if job.events_path.is_file():
-            with open(job.events_path) as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    event = json.loads(line)
-                    if event["event"] == "phase":
-                        job.phase = event["phase"]
-                    elif event["event"] == "unit":
-                        job.unit_states[event["unit_id"]] = event["state"]
+            for event in _read_events(job.events_path):
+                if event["event"] == "phase":
+                    job.phase = event["phase"]
+                elif event["event"] == "unit":
+                    job.unit_states[event["unit_id"]] = event["state"]
         return job
 
     # -- operations -----------------------------------------------------------

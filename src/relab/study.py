@@ -6,7 +6,7 @@ logistic model, future-session holdout vs k-fold cross-validation) but
 directly over sampled count arrays, skipping CSV materialization and
 process isolation. Row ordering, fold seeding, pooling, and scoring
 mirror the stage implementations exactly, so a course's (holdout, cv)
-AUC pair computed here equals the engine's to float64 round-off; a test
+AUC pair computed here equals the engine's exactly (``==``); a test
 asserts that equivalence.
 
 The two evaluation architectures answer the same question ("how good is

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import tarfile
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
@@ -178,6 +179,52 @@ class TestCacheStore:
         assert store.get_blob(digest) == b"hello"
         with pytest.raises(ProvenanceError, match="not found"):
             store.get_blob("ef" * 32)
+
+    @pytest.mark.parametrize("failing_write", [1, 2], ids=["blob", "entry"])
+    def test_write_torn_midway_leaves_nothing_behind(
+        self, tmp_path, monkeypatch, failing_write
+    ):
+        store = CacheStore(tmp_path / "cache")
+        src, digests = self.make_outputs(tmp_path, {"a.csv": b"payload" * 100})
+        key = "ab" * 32
+        real_fdopen = os.fdopen
+        writes = []
+
+        class TornFile:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                writes.append(data)
+                if len(writes) == failing_write:
+                    self.f.write(data[: len(data) // 2])
+                    self.f.flush()
+                    raise OSError("device lost mid-write")
+                return self.f.write(data)
+
+        monkeypatch.setattr(
+            os, "fdopen", lambda fd, mode: TornFile(real_fdopen(fd, mode))
+        )
+        with pytest.raises(OSError, match="mid-write"):
+            store.put(key, digests, src)
+        monkeypatch.undo()
+
+        blob = store.blob_path(digests["a.csv"])
+        assert blob.exists() == (failing_write == 2)
+        assert store.get(key) is None
+        assert not (store.entries_dir / f"{key}.json").exists()
+        assert not list(store.root.rglob("*.tmp"))
+
+        entry = store.put(key, digests, src)
+        assert store.get(key) == entry
+        assert entry.output_digests == digests
+        assert store.get_blob(digests["a.csv"]) == b"payload" * 100
 
 
 def make_manifest(seed=7):

@@ -436,6 +436,32 @@ class TestRestart:
         state = fresh.status(job_id)
         assert state == sched.status(job_id)
 
+    def test_torn_last_event_line_dropped(self, corpus_registry, tmp_path):
+        sched_a = Scheduler(tmp_path, corpus_registry)
+        job_id = sched_a.submit(make_manifest("holdout"))
+        sched_a.plan(job_id)
+        events = sched_a.jobs_dir / job_id / "events.jsonl"
+        intact = events.read_bytes()
+        with open(events, "ab") as fh:  # a writer killed mid-append
+            fh.write(b'{"event": "phase", "pha')
+
+        sched_b = Scheduler(tmp_path, corpus_registry)
+        assert sched_b.status(job_id) == sched_a.status(job_id)
+        assert events.read_bytes() == intact
+        sched_b.cancel(job_id)  # appends after the cut start on a line of their own
+        fresh = Scheduler(tmp_path, corpus_registry)
+        assert fresh.status(job_id) == sched_b.status(job_id)
+        assert fresh.status(job_id).phase == "cancelled"
+
+    def test_torn_middle_event_line_raises(self, corpus_registry, tmp_path):
+        sched_a = Scheduler(tmp_path, corpus_registry)
+        job_id = sched_a.submit(make_manifest("holdout"))
+        events = sched_a.jobs_dir / job_id / "events.jsonl"
+        lines = events.read_bytes().splitlines(keepends=True)
+        events.write_bytes(lines[0][:10] + b"\n" + b"".join(lines[1:]))
+        with pytest.raises(json.JSONDecodeError):
+            Scheduler(tmp_path, corpus_registry).status(job_id)
+
 
 class TestFailureIsolation:
     def test_one_course_failure_leaves_others_alone(
