@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tarfile
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
@@ -225,6 +227,29 @@ class TestCacheStore:
         assert store.get(key) == entry
         assert entry.output_digests == digests
         assert store.get_blob(digests["a.csv"]) == b"payload" * 100
+
+    def test_concurrent_writer_processes_share_one_store(self, tmp_path):
+        # more writers than cores, each storing the same blobs in the same
+        # order, so that they race on every blob path
+        script = (
+            "import sys\n"
+            "from relab.provenance import CacheStore\n"
+            "store = CacheStore(sys.argv[1])\n"
+            "for i in range(40):\n"
+            "    store.put_blob(bytes([i]) * 200_000)\n"
+        )
+        root = tmp_path / "cache"
+        writers = [
+            subprocess.Popen([sys.executable, "-c", script, str(root)])
+            for _ in range(max(4, 2 * (os.cpu_count() or 1)))
+        ]
+        for proc in writers:
+            assert proc.wait(timeout=120) == 0
+        store = CacheStore(root)
+        for i in range(40):
+            data = bytes([i]) * 200_000
+            assert store.get_blob(sha256_bytes(data)) == data
+        assert not list(root.rglob("*.tmp"))
 
 
 def make_manifest(seed=7):
