@@ -263,6 +263,161 @@ class TestGoldenPlan:
         assert hashlib.sha256(units_json).hexdigest() == self.UNITS_JSON_SHA256[scheme]
 
 
+def stub_stages(manifest):
+    """The manifest with every stage writing its declared outputs empty."""
+    return JobManifest(
+        experiment_name=manifest.experiment_name,
+        image_ref=manifest.image_ref,
+        stages=tuple(
+            StageSpec(
+                name=s.name,
+                command=("/bin/sh", "-c",
+                         "for f in " + " ".join(s.outputs)
+                         + '; do : > "$OUTPUT_DIR/$f"; done'),
+                timeout=s.timeout,
+                outputs=s.outputs,
+            )
+            for s in manifest.stages
+        ),
+        dataset_selector=manifest.dataset_selector,
+        eval_config=manifest.eval_config,
+        seed=manifest.seed,
+        feature_weeks=manifest.feature_weeks,
+    )
+
+
+class TestStagedTree:
+    """The DATA_DIR layout each stage receives is a contract with stage images."""
+
+    EXTRACT = ["events.csv", "params.json", "session.json"]
+    EVALUATE = [
+        "params.json",
+        "preds/cv_fold_01/predictions.csv",
+        "preds/cv_fold_02/predictions.csv",
+        "preds/cv_fold_03/predictions.csv",
+        "preds/holdout/predictions.csv",
+    ]
+    EXPECTED = {
+        "course-a:2013-fall:extract": EXTRACT,
+        "course-a:2013-spring:extract": EXTRACT,
+        "course-a:2014-spring:extract": EXTRACT,
+        "course-a:holdout:train": [
+            "params.json",
+            "sessions/2013-fall/features.csv",
+            "sessions/2013-fall/labels.csv",
+            "sessions/2013-spring/features.csv",
+            "sessions/2013-spring/labels.csv",
+        ],
+        "course-a:holdout:test": [
+            "model/model.json",
+            "params.json",
+            "sessions/2014-spring/features.csv",
+            "sessions/2014-spring/labels.csv",
+        ],
+        "course-a:2013-fall:cv:fold01:train": [
+            "params.json",
+            "sessions/2013-fall/features.csv",
+            "sessions/2013-fall/labels.csv",
+        ],
+        "course-a:2013-fall:cv:fold01:test": [
+            "model/model.json",
+            "params.json",
+            "sessions/2013-fall/features.csv",
+            "sessions/2013-fall/labels.csv",
+        ],
+        "course-a:2013-fall:cv:fold02:train": [
+            "params.json",
+            "sessions/2013-fall/features.csv",
+            "sessions/2013-fall/labels.csv",
+        ],
+        "course-a:2013-fall:cv:fold02:test": [
+            "model/model.json",
+            "params.json",
+            "sessions/2013-fall/features.csv",
+            "sessions/2013-fall/labels.csv",
+        ],
+        "course-a:2013-fall:cv:fold03:train": [
+            "params.json",
+            "sessions/2013-fall/features.csv",
+            "sessions/2013-fall/labels.csv",
+        ],
+        "course-a:2013-fall:cv:fold03:test": [
+            "model/model.json",
+            "params.json",
+            "sessions/2013-fall/features.csv",
+            "sessions/2013-fall/labels.csv",
+        ],
+        "course-a:evaluate": EVALUATE,
+        "course-b:2015-fall:extract": EXTRACT,
+        "course-b:2015-spring:extract": EXTRACT,
+        "course-b:holdout:train": [
+            "params.json",
+            "sessions/2015-spring/features.csv",
+            "sessions/2015-spring/labels.csv",
+        ],
+        "course-b:holdout:test": [
+            "model/model.json",
+            "params.json",
+            "sessions/2015-fall/features.csv",
+            "sessions/2015-fall/labels.csv",
+        ],
+        "course-b:2015-spring:cv:fold01:train": [
+            "params.json",
+            "sessions/2015-spring/features.csv",
+            "sessions/2015-spring/labels.csv",
+        ],
+        "course-b:2015-spring:cv:fold01:test": [
+            "model/model.json",
+            "params.json",
+            "sessions/2015-spring/features.csv",
+            "sessions/2015-spring/labels.csv",
+        ],
+        "course-b:2015-spring:cv:fold02:train": [
+            "params.json",
+            "sessions/2015-spring/features.csv",
+            "sessions/2015-spring/labels.csv",
+        ],
+        "course-b:2015-spring:cv:fold02:test": [
+            "model/model.json",
+            "params.json",
+            "sessions/2015-spring/features.csv",
+            "sessions/2015-spring/labels.csv",
+        ],
+        "course-b:2015-spring:cv:fold03:train": [
+            "params.json",
+            "sessions/2015-spring/features.csv",
+            "sessions/2015-spring/labels.csv",
+        ],
+        "course-b:2015-spring:cv:fold03:test": [
+            "model/model.json",
+            "params.json",
+            "sessions/2015-spring/features.csv",
+            "sessions/2015-spring/labels.csv",
+        ],
+        "course-b:evaluate": EVALUATE,
+    }
+
+    def test_data_dir_per_unit(self, tmp_path, monkeypatch):
+        trees = {}
+        real = scheduler_module.run_stage
+
+        def spy(stage, sandbox, *args):
+            data = sandbox.data_mount
+            trees[data.parent.name] = sorted(
+                p.relative_to(data).as_posix()
+                for p in data.rglob("*") if p.is_file()
+            )
+            return real(stage, sandbox, *args)
+
+        monkeypatch.setattr(scheduler_module, "run_stage", spy)
+        _, _, report = run_job(
+            literal_registry(tmp_path / "reg"), tmp_path / "engine",
+            stub_stages(make_manifest("both", k=3)),
+        )
+        assert report.phase == "succeeded"
+        assert trees == self.EXPECTED
+
+
 class TestSubmit:
     def test_valid_manifest_queued(self, corpus_registry, tmp_path):
         sched = Scheduler(tmp_path, corpus_registry)
