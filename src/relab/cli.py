@@ -79,18 +79,28 @@ class Engine:
         parallelism: int = 1,
         parent_trial_id: Optional[str] = None,
     ) -> Tuple[JobReport, Optional[TrialRecord]]:
-        """Plan and execute a submitted job; record a trial if it succeeds."""
-        self.scheduler.plan(job_id)
-        report = self.scheduler.execute(job_id, parallelism)
-        trial = None
-        if report.phase == "succeeded":
-            trial = record_trial(
-                self.ledger,
-                report,
-                manifest,
-                parent_trial_id=parent_trial_id,
-                cache=self.cache,
-            )
+        """Plan and execute a submitted job; record a trial if it succeeds.
+
+        The job's event log gets the trial id, or the cause of an
+        exception before it re-raises, so any process over this root can
+        tell what became of the job.
+        """
+        try:
+            self.scheduler.plan(job_id)
+            report = self.scheduler.execute(job_id, parallelism)
+            trial = None
+            if report.phase == "succeeded":
+                trial = record_trial(
+                    self.ledger,
+                    report,
+                    manifest,
+                    parent_trial_id=parent_trial_id,
+                    cache=self.cache,
+                )
+                self.scheduler.set_trial(job_id, trial.trial_id)
+        except Exception as exc:
+            self.scheduler.fail(job_id, f"{type(exc).__name__}: {exc}")
+            raise
         return report, trial
 
     def manifest_for_trial(self, record: TrialRecord) -> JobManifest:

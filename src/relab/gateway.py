@@ -34,7 +34,12 @@ from .scheduler import TERMINAL_PHASES, SchedulerError
 
 
 class Gateway(ThreadingHTTPServer):
-    """HTTP server owning background job threads for one engine."""
+    """HTTP server owning background job threads for one engine.
+
+    It keeps no state of its own about jobs: ``Engine.finish_job`` puts
+    each job's trial id, or the cause of its failure, into the job's
+    event log, which every surface over the root reads.
+    """
 
     daemon_threads = True
 
@@ -42,9 +47,6 @@ class Gateway(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.engine = engine
         self.parallelism = parallelism
-        self.trial_ids: dict = {}
-        self.job_errors: dict = {}
-        self._lock = threading.Lock()
         self._workers: list = []
 
     def launch(self, job_id: str, manifest: JobManifest) -> None:
@@ -56,17 +58,9 @@ class Gateway(ThreadingHTTPServer):
 
     def _run_job(self, job_id: str, manifest: JobManifest) -> None:
         try:
-            _, trial = self.engine.finish_job(job_id, manifest, self.parallelism)
-            if trial is not None:
-                with self._lock:
-                    self.trial_ids[job_id] = trial.trial_id
-        except Exception as exc:  # worker threads must never die silently
-            with self._lock:
-                self.job_errors[job_id] = str(exc)
-
-    def trial_id_for(self, job_id: str):
-        with self._lock:
-            return self.trial_ids.get(job_id)
+            self.engine.finish_job(job_id, manifest, self.parallelism)
+        except Exception:  # finish_job logged the cause in the job's events
+            pass
 
     def wait_idle(self) -> None:
         """Join all job threads (used by tests and orderly shutdown)."""
@@ -134,10 +128,7 @@ class _Handler(BaseHTTPRequestHandler):
         except SchedulerError as exc:
             self._send_json(404, {"error": str(exc)})
             return
-        headers = {}
-        trial_id = self.server.trial_id_for(job_id)
-        if trial_id:
-            headers["X-Trial-Id"] = trial_id
+        headers = {"X-Trial-Id": state.trial_id} if state.trial_id else {}
         self._send_json(200, state.to_json_obj(), headers)
 
     def _get_report(self, job_id: str, query: dict):

@@ -1,4 +1,4 @@
-"""Digest helpers shared across the engine.
+"""Digest and file-publishing helpers shared across the engine.
 
 Every digest in the system is SHA-256, lowercase hex. Composite identifiers
 (cache keys, trial ids) hash a length-prefixed concatenation of their parts
@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 from pathlib import Path
 
 HEX_DIGEST_LEN = 64
@@ -71,3 +73,22 @@ def is_hex_digest(value: str) -> bool:
         and len(value) == HEX_DIGEST_LEN
         and all(c in "0123456789abcdef" for c in value)
     )
+
+
+def write_atomic(path: Path, data: bytes) -> None:
+    """Write `data` to `path` through a tmp file private to this writer.
+
+    Readers and other writers, in this process or another, see either no
+    file or the whole one: a writer that dies mid-write leaves only its
+    own tmp file behind.
+    """
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f"{path.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -29,9 +29,7 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import tarfile
-import tempfile
 import threading
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -45,6 +43,7 @@ from .hashing import (
     sha256_bytes,
     sha256_concat,
     sha256_file,
+    write_atomic,
 )
 from .manifest import JobManifest, canonicalize, parse_manifest, render_manifest
 
@@ -164,25 +163,6 @@ class CacheEntry:
         )
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Write `data` to `path` through a tmp file private to this writer.
-
-    Readers and other writers, in this process or another, see either no
-    file or the whole one: a writer that dies mid-write leaves only its
-    own tmp file behind.
-    """
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=f"{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 class CacheStore:
     """Entries under ``entries/<key>.json``, bytes under ``blobs/xx/<digest>``.
 
@@ -218,7 +198,7 @@ class CacheStore:
             with self._lock:
                 if not path.exists():
                     path.parent.mkdir(parents=True, exist_ok=True)
-                    _write_atomic(path, data)
+                    write_atomic(path, data)
         return digest
 
     def get_blob(self, digest: str) -> bytes:
@@ -272,7 +252,7 @@ class CacheStore:
             path = self._entry_path(key)
             if path.exists():  # another writer bound the key meanwhile
                 return self.get(key)
-            _write_atomic(path, canonical_json_bytes(entry.to_json_obj()))
+            write_atomic(path, canonical_json_bytes(entry.to_json_obj()))
         return entry
 
     def materialize(self, entry: CacheEntry, dest_dir: Path) -> None:

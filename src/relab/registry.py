@@ -21,7 +21,7 @@ from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import List, Mapping, Optional, Tuple
 
-from .hashing import canonical_json_bytes, sha256_file
+from .hashing import canonical_json_bytes, sha256_file, write_atomic
 
 DEFAULT_MAX_EXPORT_BYTES = 64 * 1024 * 1024
 DEFAULT_EXPORT_ALLOWLIST = ("*.csv", "*.json")
@@ -229,7 +229,11 @@ def _course_to_json(course: Course) -> dict:
 
 
 class Registry:
-    """File-backed course catalog; many readers, registrations serialized."""
+    """File-backed course catalog.
+
+    Many readers; registrations serialize within a process, and an index
+    file is published whole, so writers in other processes never collide.
+    """
 
     def __init__(self, root: Path):
         self.root = Path(root)
@@ -308,9 +312,7 @@ class Registry:
                 raise RegistryError(
                     f"course {course_id!r} already registered with different content"
                 )
-            tmp = index_path.with_suffix(".tmp")
-            tmp.write_bytes(payload)
-            tmp.replace(index_path)
+            write_atomic(index_path, payload)
         return course
 
     # -- lookup -------------------------------------------------------------

@@ -12,12 +12,13 @@ Planning turns a validated manifest into a DAG of work units, one per
 
 Which session plays which role is ``evalstats.session_roles``.
 
-Every unit gets a cache key at planning time, chained Merkle-style:
-extract keys hash the registered data-file digests, downstream keys hash
-their dependencies' keys, and all of them include the manifest digest,
-the unit's parameter document, and the job seed. Identical configuration
-therefore reuses cached outputs no matter which job produced them, and
-the cache store is the only channel through which units exchange data.
+Every unit gets a cache key at planning time by one rule, chained
+Merkle-style: ``cache_key(stage, manifest digest, inputs, seed)`` where
+the inputs are the dependencies' keys in order, then (for an extract
+only) the sorted registered data-file digests, then the digest of the
+unit's canonical params. Identical configuration therefore reuses cached
+outputs no matter which job produced them, and the cache store is the
+only channel through which units exchange data.
 
 Execution runs a single coordinator and a bounded worker pool. A unit
 is ready once its last dependency settles; while a worker is free, the
@@ -148,6 +149,7 @@ class JobState:
     job_id: str
     phase: str
     unit_states: Mapping[str, str]
+    trial_id: Optional[str] = None  # a header on HTTP, not part of the body
 
     def counts(self) -> Dict[str, int]:
         out = {s: 0 for s in (UNIT_PENDING, UNIT_RUNNING, UNIT_DONE,
@@ -265,6 +267,31 @@ def plan_units(
     units: List[WorkUnit] = []
     data_digests = set()
 
+    def unit(unit_id, stage, course_id, session_id, deps, params, inputs=()):
+        """Append one unit, keyed by the one rule every unit follows."""
+        key_inputs = [d.cache_key for d in deps] + list(inputs)
+        key_inputs.append(_params_digest(params))
+        units.append(
+            WorkUnit(
+                unit_id=unit_id,
+                stage=stage,
+                course_id=course_id,
+                session_id=session_id,
+                depends_on=[d.unit_id for d in deps],
+                cache_key=cache_key(stage, manifest_digest, key_inputs, seed),
+                params=params,
+            )
+        )
+        return units[-1]
+
+    def train_and_test(prefix, train_session, train_deps, test_extract, fold_params):
+        """One arm: a model, and its predictions on ``test_extract``'s session."""
+        course_id = test_extract.course_id
+        train = unit(f"{prefix}:train", "train", course_id, train_session,
+                     train_deps, dict(fold_params, hyperparams=hyper))
+        return unit(f"{prefix}:test", "test", course_id, test_extract.session_id,
+                    [train, test_extract], fold_params)
+
     use_holdout = manifest.eval_config.uses_holdout
     use_cv = manifest.eval_config.uses_cv
     for course_id in sorted(by_course):
@@ -278,114 +305,32 @@ def plan_units(
         except ValueError as exc:
             raise SchedulerError(f"{exc} for course {course_id!r}") from None
 
-        extract_sessions = sessions if use_holdout else [sessions[cv_idx]]
-        extract_units: Dict[str, WorkUnit] = {}
-        extract_params = {"feature_weeks": manifest.feature_weeks}
-        for session in extract_sessions:
+        extracts: Dict[str, WorkUnit] = {}
+        for session in sessions if use_holdout else [sessions[cv_idx]]:
             file_digests = sorted(f.digest for f in session.data_files)
             data_digests.update(file_digests)
-            unit = WorkUnit(
-                unit_id=f"{course_id}:{session.session_id}:extract",
-                stage="extract",
-                course_id=course_id,
-                session_id=session.session_id,
-                depends_on=(),
-                cache_key=cache_key(
-                    "extract",
-                    manifest_digest,
-                    file_digests + [_params_digest(extract_params)],
-                    seed,
-                ),
-                params=extract_params,
+            extracts[session.session_id] = unit(
+                f"{course_id}:{session.session_id}:extract", "extract", course_id,
+                session.session_id, [], {"feature_weeks": manifest.feature_weeks},
+                file_digests,
             )
-            extract_units[session.session_id] = unit
-            units.append(unit)
 
-        test_units: List[WorkUnit] = []
+        tests = []
         if use_holdout:
-            test_session = sessions[test_idx]
-            train_params = {"hyperparams": hyper}
-            train_deps = [extract_units[sessions[i].session_id] for i in train_idx]
-            train = WorkUnit(
-                unit_id=f"{course_id}:holdout:train",
-                stage="train",
-                course_id=course_id,
-                session_id="",
-                depends_on=tuple(u.unit_id for u in train_deps),
-                cache_key=cache_key(
-                    "train",
-                    manifest_digest,
-                    [u.cache_key for u in train_deps]
-                    + [_params_digest(train_params)],
-                    seed,
-                ),
-                params=train_params,
-            )
-            units.append(train)
-            test_extract = extract_units[test_session.session_id]
-            test = WorkUnit(
-                unit_id=f"{course_id}:holdout:test",
-                stage="test",
-                course_id=course_id,
-                session_id=test_session.session_id,
-                depends_on=(train.unit_id, test_extract.unit_id),
-                cache_key=cache_key(
-                    "test",
-                    manifest_digest,
-                    [train.cache_key, test_extract.cache_key, _params_digest({})],
-                    seed,
-                ),
-                params={},
-            )
-            units.append(test)
-            test_units.append(test)
-
+            train_deps = [extracts[sessions[i].session_id] for i in train_idx]
+            tests.append(train_and_test(
+                f"{course_id}:holdout", "", train_deps,
+                extracts[sessions[test_idx].session_id], {},
+            ))
         if use_cv:
             k = manifest.eval_config.k
-            cv_session = sessions[cv_idx]
-            cv_extract = extract_units[cv_session.session_id]
+            cv_extract = extracts[sessions[cv_idx].session_id]
             for fold in range(1, k + 1):
-                fold_params = {
-                    "fold_count": k,
-                    "fold_index": fold,
-                    "fold_seed": seed,
-                }
-                train_params = dict(fold_params, hyperparams=hyper)
-                prefix = f"{course_id}:{cv_session.session_id}:cv:fold{fold:02d}"
-                train = WorkUnit(
-                    unit_id=f"{prefix}:train",
-                    stage="train",
-                    course_id=course_id,
-                    session_id=cv_session.session_id,
-                    depends_on=(cv_extract.unit_id,),
-                    cache_key=cache_key(
-                        "train",
-                        manifest_digest,
-                        [cv_extract.cache_key, _params_digest(train_params)],
-                        seed,
-                    ),
-                    params=train_params,
-                )
-                test = WorkUnit(
-                    unit_id=f"{prefix}:test",
-                    stage="test",
-                    course_id=course_id,
-                    session_id=cv_session.session_id,
-                    depends_on=(train.unit_id, cv_extract.unit_id),
-                    cache_key=cache_key(
-                        "test",
-                        manifest_digest,
-                        [
-                            train.cache_key,
-                            cv_extract.cache_key,
-                            _params_digest(fold_params),
-                        ],
-                        seed,
-                    ),
-                    params=fold_params,
-                )
-                units.extend((train, test))
-                test_units.append(test)
+                fold_params = {"fold_count": k, "fold_index": fold, "fold_seed": seed}
+                tests.append(train_and_test(
+                    f"{course_id}:{cv_extract.session_id}:cv:fold{fold:02d}",
+                    cv_extract.session_id, [cv_extract], cv_extract, fold_params,
+                ))
 
         schemes = []
         if use_holdout:
@@ -398,26 +343,22 @@ def plan_units(
             "course_id": course_id,
             "cv_pooling": manifest.eval_config.cv_pooling,
         }
-        ordered_tests = sorted(test_units, key=lambda u: u.unit_id)
-        units.append(
-            WorkUnit(
-                unit_id=f"{course_id}:evaluate",
-                stage="evaluate",
-                course_id=course_id,
-                session_id="",
-                depends_on=tuple(u.unit_id for u in ordered_tests),
-                cache_key=cache_key(
-                    "evaluate",
-                    manifest_digest,
-                    [u.cache_key for u in ordered_tests]
-                    + [_params_digest(eval_params)],
-                    seed,
-                ),
-                params=eval_params,
-            )
-        )
+        unit(f"{course_id}:evaluate", "evaluate", course_id, "",
+             sorted(tests, key=lambda u: u.unit_id), eval_params)
 
     return tuple(units), tuple(sorted(data_digests))
+
+
+def _input_dir(dep: WorkUnit) -> str:
+    """Where a dependency's outputs sit in a consuming unit's DATA_DIR."""
+    if dep.stage == "extract":
+        return f"sessions/{dep.session_id}"
+    if dep.stage == "train":
+        return "model"
+    if dep.stage == "test":
+        fold = dep.params.get("fold_index")
+        return "preds/holdout" if fold is None else f"preds/cv_fold_{int(fold):02d}"
+    raise SchedulerError(f"no unit reads the outputs of a {dep.stage!r} unit")
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +394,7 @@ class _Job:
         self.unit_states: Dict[str, str] = {}
         self.results: Dict[str, StageResult] = {}
         self.cancel_requested = False
+        self.trial_id: Optional[str] = None
 
     @property
     def events_path(self) -> Path:
@@ -470,6 +412,13 @@ class _Job:
     def set_unit_state(self, unit_id: str, state: str) -> None:
         self.unit_states[unit_id] = state
         self.append_event({"event": "unit", "unit_id": unit_id, "state": state})
+
+    def set_cancelled(self) -> None:
+        """Skip every unit still pending and end the job cancelled."""
+        for unit_id, state in sorted(self.unit_states.items()):
+            if state == UNIT_PENDING:
+                self.set_unit_state(unit_id, UNIT_SKIPPED)
+        self.set_phase("cancelled")
 
 
 class Scheduler:
@@ -531,6 +480,8 @@ class Scheduler:
                     job.phase = event["phase"]
                 elif event["event"] == "unit":
                     job.unit_states[event["unit_id"]] = event["state"]
+                elif event["event"] == "trial":
+                    job.trial_id = event["trial_id"]
         return job
 
     # -- operations -----------------------------------------------------------
@@ -594,7 +545,10 @@ class Scheduler:
         job = self._job(job_id)
         with job.lock:
             return JobState(
-                job_id=job_id, phase=job.phase, unit_states=dict(job.unit_states)
+                job_id=job_id,
+                phase=job.phase,
+                unit_states=dict(job.unit_states),
+                trial_id=job.trial_id,
             )
 
     def cancel(self, job_id: str) -> None:
@@ -604,10 +558,22 @@ class Scheduler:
                 raise SchedulerError(f"job {job_id} already terminal: {job.phase}")
             job.cancel_requested = True
             if job.phase in ("queued", "planning"):
-                for unit_id, state in sorted(job.unit_states.items()):
-                    if state == UNIT_PENDING:
-                        job.set_unit_state(unit_id, UNIT_SKIPPED)
-                job.set_phase("cancelled")
+                job.set_cancelled()
+
+    def set_trial(self, job_id: str, trial_id: str) -> None:
+        """Log the trial a succeeded job was recorded as."""
+        job = self._job(job_id)
+        with job.lock:
+            job.trial_id = trial_id
+            job.append_event({"event": "trial", "trial_id": trial_id})
+
+    def fail(self, job_id: str, cause: str) -> None:
+        """Log why driving a job raised; a job left unfinished ends failed."""
+        job = self._job(job_id)
+        with job.lock:
+            job.append_event({"event": "error", "error": cause})
+            if job.phase not in TERMINAL_PHASES:
+                job.set_phase("failed")
 
     # -- execution ------------------------------------------------------------
 
@@ -688,22 +654,15 @@ class Scheduler:
                         finish(unit.unit_id, UNIT_DONE if ok else UNIT_FAILED, result)
 
         with job.lock:
+            states = set(job.unit_states.values())
             if job.cancel_requested:
-                for unit_id, state in sorted(job.unit_states.items()):
-                    if state == UNIT_PENDING:
-                        job.set_unit_state(unit_id, UNIT_SKIPPED)
-                job.set_phase("cancelled")
+                job.set_cancelled()
+            elif states <= set(_SETTLED):
+                job.set_phase("succeeded")
+            elif states & set(_SETTLED):
+                job.set_phase("partial")
             else:
-                states = set(job.unit_states.values())
-                settled = sum(
-                    1 for s in job.unit_states.values() if s in _SETTLED
-                )
-                if states <= set(_SETTLED):
-                    job.set_phase("succeeded")
-                elif settled:
-                    job.set_phase("partial")
-                else:
-                    job.set_phase("failed")
+                job.set_phase("failed")
         report = self._assemble_report(job, time.monotonic() - started)
         (job.dir / "report.json").write_bytes(
             canonical_json_bytes(report.to_json_obj())
@@ -768,7 +727,11 @@ class Scheduler:
     def _stage_inputs(
         self, unit: WorkUnit, deps: List[WorkUnit], data: Path
     ) -> None:
-        """Build the unit's read-only data tree from registry and cache."""
+        """Build the unit's read-only data tree from registry and cache.
+
+        An extract reads its session's registered files; every dependency's
+        outputs go where its own stage puts them (``_input_dir``).
+        """
         if unit.stage == "extract":
             course = self.registry.load_course(unit.course_id)
             session = course.session(unit.session_id)
@@ -777,37 +740,14 @@ class Scheduler:
                 target = data / f.path
                 target.parent.mkdir(parents=True, exist_ok=True)
                 target.write_bytes((src / f.path).read_bytes())
-        elif unit.stage == "train":
-            for dep in deps:
-                self._materialize_dep(dep, data / "sessions" / dep.session_id)
-        elif unit.stage == "test":
-            for dep in deps:
-                if dep.stage == "train":
-                    self._materialize_dep(dep, data / "model")
-                else:
-                    self._materialize_dep(dep, data / "sessions" / dep.session_id)
-        elif unit.stage == "evaluate":
-            for dep in deps:
-                if ":holdout:" in dep.unit_id:
-                    self._materialize_dep(dep, data / "preds" / "holdout")
-                else:
-                    fold = int(dep.params["fold_index"])
-                    self._materialize_dep(
-                        dep, data / "preds" / f"cv_fold_{fold:02d}"
-                    )
-        else:
-            raise SchedulerError(f"unknown stage {unit.stage!r}")
+        for dep in deps:
+            entry = self.cache.get(dep.cache_key)
+            if entry is None:
+                raise SchedulerError(f"outputs of {dep.unit_id} missing from cache")
+            self.cache.materialize(entry, data / _input_dir(dep))
         (data / "params.json").write_bytes(
             canonical_json_bytes(dict(unit.params))
         )
-
-    def _materialize_dep(self, dep: WorkUnit, dest: Path) -> None:
-        entry = self.cache.get(dep.cache_key)
-        if entry is None:
-            raise SchedulerError(
-                f"outputs of {dep.unit_id} missing from cache"
-            )
-        self.cache.materialize(entry, dest)
 
     # -- reporting ---------------------------------------------------------------
 

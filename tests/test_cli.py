@@ -98,6 +98,13 @@ class TestSubmit:
         code, _, err = cli(capsys, "--root", root["state"], "submit",
                            "--manifest", root["manifest"], "--parallelism", 0)
         assert code == 1
+        # the job it submitted ends failed, with the cause in its event log
+        job_dir = max((root["state"] / "engine" / "jobs").iterdir())
+        _, out, _ = cli(capsys, "--root", root["state"], "status", job_dir.name)
+        assert json.loads(out)["phase"] == "failed"
+        events = (job_dir / "events.jsonl").read_text().splitlines()
+        errors = [e["error"] for e in map(json.loads, events) if e["event"] == "error"]
+        assert errors == ["SchedulerError: parallelism must be a positive integer"]
 
 
 class TestStatus:

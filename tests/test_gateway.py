@@ -1,6 +1,7 @@
 """Tests for the HTTP gateway and its equivalence with the command line."""
 
 import dataclasses
+import json
 import threading
 
 import pytest
@@ -141,6 +142,43 @@ class TestJobEndpoints:
     def test_bundle_of_unknown_trial_is_404(self, gateway):
         response = requests.get(f"{gateway['base']}/trials/{'0' * 64}/bundle")
         assert response.status_code == 404
+
+
+class TestJobStateOnDisk:
+    """What the gateway reports about a job comes from files under the root."""
+
+    def test_second_server_sends_trial_id(self, gateway):
+        first = requests.get(f"{gateway['base']}/jobs/{gateway['job_id']}")
+        server = make_server(Engine(gateway["engine"].root), port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            response = requests.get(
+                f"http://127.0.0.1:{server.server_address[1]}"
+                f"/jobs/{gateway['job_id']}"
+            )
+        finally:
+            server.shutdown()
+        assert response.headers["X-Trial-Id"] == first.headers["X-Trial-Id"]
+        assert response.content == first.content
+
+    def test_job_thread_failure_logged(self, gateway, monkeypatch):
+        def boom(job_id, parallelism=1):
+            raise RuntimeError("executor exploded")
+
+        monkeypatch.setattr(gateway["engine"].scheduler, "execute", boom)
+        response = requests.post(f"{gateway['base']}/jobs",
+                                 data=manifest_text(seed=6).encode())
+        job_id = response.json()["job_id"]
+        gateway["server"].wait_idle()
+
+        status = requests.get(f"{gateway['base']}/jobs/{job_id}")
+        assert status.json()["phase"] == "failed"
+        assert "X-Trial-Id" not in status.headers
+        events_path = gateway["engine"].scheduler.jobs_dir / job_id / "events.jsonl"
+        events = [json.loads(line) for line in events_path.read_text().splitlines()]
+        errors = [e["error"] for e in events if e["event"] == "error"]
+        assert errors == ["RuntimeError: executor exploded"]
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -152,6 +155,56 @@ class TestRegisterCourse:
         (r.session_dir("course-a", "2013-fall") / "events.csv").write_bytes(b"evil")
         with pytest.raises(RegistryError, match="drift"):
             r.verify_course("course-a")
+
+
+    def test_concurrent_writer_processes_register_one_course(self, tmp_path):
+        # more writers than cores register the same descriptor in each of
+        # many fresh roots, meeting at a file barrier before every call
+        script = (
+            "import json, sys, time\n"
+            "from pathlib import Path\n"
+            "from relab.registry import Registry\n"
+            "base, me, n = Path(sys.argv[1]), sys.argv[2], int(sys.argv[3])\n"
+            "descriptor = json.loads((base / 'descriptor.json').read_text())\n"
+            "failed = 0\n"
+            "for root in sorted(base.glob('root*')):\n"
+            "    (root / f'ready.{me}').touch()\n"
+            "    while len(list(root.glob('ready.*'))) < n:\n"
+            "        time.sleep(0.0005)\n"
+            "    try:\n"
+            "        Registry(root).register_course(descriptor)\n"
+            "    except Exception as exc:\n"
+            "        failed += 1\n"
+            "        print(root.name, repr(exc), file=sys.stderr)\n"
+            "sys.exit(1 if failed else 0)\n"
+        )
+        files = {"events.csv": b"b1", "session.json": b"{}"}
+        descriptor = {
+            "course_id": "course-b",
+            "sessions": [{"session_id": "2015-only", "start_date": "2015-03-02",
+                          "num_weeks": 5, "files": sorted(files)}],
+        }
+        (tmp_path / "descriptor.json").write_text(json.dumps(descriptor))
+        for i in range(40):
+            sdir = Registry(tmp_path / f"root{i:02d}").session_dir(
+                "course-b", "2015-only"
+            )
+            sdir.mkdir(parents=True)
+            for name, payload in files.items():
+                (sdir / name).write_bytes(payload)
+        n = max(4, (os.cpu_count() or 1) + 1)
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(tmp_path), str(i), str(n)]
+            )
+            for i in range(n)
+        ]
+        for proc in writers:
+            assert proc.wait(timeout=120) == 0
+        for i in range(40):
+            course = Registry(tmp_path / f"root{i:02d}").load_course("course-b")
+            assert course.sessions[0].session_id == "2015-only"
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestResolveSelector:
