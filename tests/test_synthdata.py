@@ -248,3 +248,65 @@ class TestGenerateCorpus:
         for f1 in files1:
             f2 = tmp_path / "r2" / f1.relative_to(tmp_path / "r1")
             assert sha256_file(f1) == sha256_file(f2)
+
+
+# sha256 of every file generate_corpus writes, by path under data/: the
+# bench-shaped corpus (no shift) and a shifted default-shape corpus with
+# fewer learners. Any change to the generator or to the event-log writer
+# that moves a byte fails here.
+BENCH_SHAPED = SynthConfig(
+    num_courses=2, learners_per_session=200, session_shift_sd=0.0, seed=901
+)
+SHIFTED_SMALL = SynthConfig(num_courses=2, learners_per_session=30, seed=17)
+
+GOLDEN_CORPORA = [
+    (
+        BENCH_SHAPED,
+        {
+            "course000/course000-run1/events.csv": "b09aab7b17bc693f8a1fd2fb60c2d8d5fa77beef5b75e0343f2cc2ccd0c84e91",
+            "course000/course000-run1/session.json": "b34814a8e97ccb0452a61d509e40ac1d4ce84e00ab0976046f2504930ff34962",
+            "course000/course000-run2/events.csv": "a5e0197a02339c19660520759aca2b7512217f4ea247f3e0e49c06f195b04362",
+            "course000/course000-run2/session.json": "ea0d5b2f467763d6d55e18782c009ca97168fd02404100f08b0c9a650af5f35a",
+            "course000/course000-run3/events.csv": "5e208853cfd0f4e09fa6783b29923a4f7496b3d5fbeabd5e2875ed876700e3ec",
+            "course000/course000-run3/session.json": "ac962334ce0e3a95ca376f80b756eee9f0264980304885681fa954128175e56b",
+            "course001/course001-run1/events.csv": "cef99e7be7b55b41623f62c960604745ad17b7192043a565fe6e90dfcf91aad4",
+            "course001/course001-run1/session.json": "0dfe137547341183f3aba92129eb6d1bcf02b06da6020cf064e8dd0dfccafaa4",
+            "course001/course001-run2/events.csv": "7820a3b93959880c537d94a79133e743b25ebdec7fe1116a96bdc8c9a118640f",
+            "course001/course001-run2/session.json": "4a7b795c5e9a1f3fe84a27a289489201a7f45d3b259d86a45a420dd2feb59d88",
+            "course001/course001-run3/events.csv": "2a9a7d263981eb2de7132bda080b0e5a97ec379910f0cdc126852244402edce3",
+            "course001/course001-run3/session.json": "0079b40a70066db4bd49a61894675b0c2d54d98a3efc52c1e9a47ae63101f10c",
+        },
+    ),
+    (
+        SHIFTED_SMALL,
+        {
+            "course000/course000-run1/events.csv": "2fc2a0e853462527582f299c9cde3c093389845055cdb246e8a231102131e955",
+            "course000/course000-run1/session.json": "05aee39a396d90e2aae673b3ca5f8b01b9f326b13c3216f76d40fff4c275c4e5",
+            "course000/course000-run2/events.csv": "c95a41bf992010d2e4cd2a5eb1fcacef5b06fcb58d00964da457be6b3ab8a2ac",
+            "course000/course000-run2/session.json": "a4e04bad2e4b33a93d99dd6da6c47948d8202f893ac58691c0c9ad9a0406b12d",
+            "course000/course000-run3/events.csv": "5f72c25f30b348c52f563f7f313d7a41e7cf588981d0c8b98aaac30392885f4a",
+            "course000/course000-run3/session.json": "86963b749501cd1debd767f17a3e4ad441e8794d049401a7eb2fa29077a5ef9c",
+            "course001/course001-run1/events.csv": "888484e840d80899972bfec7fee85c91c01a9b6f47b9724b990c4b87b7683d48",
+            "course001/course001-run1/session.json": "e3af61fa4f2cc0f5342cd1be800962da9a1a17e219c639b05423f0105bb88ab4",
+            "course001/course001-run2/events.csv": "97f8309ccf81c4afb87907927f4cd525ea23fe7a7450a7ae6afd667f1a277435",
+            "course001/course001-run2/session.json": "24773fece4942c7db222b7b5ddc4d8e601aab697a16402a53f8d012ff0f78e02",
+            "course001/course001-run3/events.csv": "64c18f0960ff30ca18640823e59544db9ac9920af01a89be1a292426f0342f77",
+            "course001/course001-run3/session.json": "4f29b47b9a8219038769c49a0c3ace2786679e02465a8f2a66033d2d66f039b3",
+        },
+    ),
+]
+
+
+class TestCorpusGolden:
+    @pytest.mark.parametrize(
+        "cfg,expected", GOLDEN_CORPORA, ids=["bench-shaped", "shifted-small"]
+    )
+    def test_corpus_bytes_pinned(self, tmp_path, cfg, expected):
+        generate_corpus(cfg, tmp_path)
+        data = tmp_path / "data"
+        got = {
+            p.relative_to(data).as_posix(): sha256_file(p)
+            for p in sorted(data.rglob("*"))
+            if p.is_file()
+        }
+        assert got == expected
