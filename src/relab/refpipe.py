@@ -41,6 +41,7 @@ EVENT_TYPES = (
     "wiki_view",
 )
 EVENT_TYPE_INDEX = {name: i for i, name in enumerate(EVENT_TYPES)}
+_EVENT_TYPE_NAMES = np.array(EVENT_TYPES, dtype=object)
 NUM_EVENT_TYPES = len(EVENT_TYPES)
 
 WEEK_SECONDS = 7 * 86400
@@ -80,6 +81,55 @@ def date_epoch(day: dt.date) -> int:
     return int(
         dt.datetime.combine(day, dt.time(), tzinfo=dt.timezone.utc).timestamp()
     )
+
+
+# Epoch range whose years have four digits. numpy zero-pads years below
+# 1000 where strftime does not, so only this range takes numpy's formatter.
+_FOUR_DIGIT_YEARS = (
+    date_epoch(dt.date(1000, 1, 1)),
+    date_epoch(dt.date(9999, 12, 31)) + 86399,
+)
+# Shape of a canonical stamp, "YYYY-MM-DDTHH:MM:SSZ": 0 marks a digit.
+_CANONICAL_SHAPE = np.array(
+    [0 if c == "0" else ord(c) for c in "0000-00-00T00:00:00Z"], dtype=np.uint32
+)
+
+
+def format_utc_column(epochs: np.ndarray) -> list:
+    """`format_utc` of every epoch, by one numpy call for four-digit years."""
+    epochs = np.asarray(epochs, dtype=np.int64)
+    if len(epochs) and (
+        epochs.min() < _FOUR_DIGIT_YEARS[0] or epochs.max() > _FOUR_DIGIT_YEARS[1]
+    ):
+        return [format_utc(t) for t in epochs]
+    stamps = epochs.astype("datetime64[s]")
+    return np.datetime_as_string(stamps, unit="s", timezone="UTC").tolist()
+
+
+def parse_utc_column(stamps: Sequence[str]) -> np.ndarray:
+    """`parse_utc` of every stamp, as int64 epoch seconds.
+
+    A column of canonical stamps (what `format_utc` writes) is parsed by
+    one numpy conversion, accepted only if formatting the result back
+    reproduces every input string. Any other ISO-8601 form (an offset, a
+    naive or fractional stamp, a space separator) is parsed per stamp by
+    `parse_utc`. numpy warns on a timezone suffix, so only strings of
+    the exact canonical shape, with the "Z" cut off, reach it.
+    """
+    text = np.array(stamps, dtype=str)
+    if text.dtype == np.dtype("U20"):
+        chars = text.view(np.uint32).reshape(len(text), 20)
+        digits = (chars >= ord("0")) & (chars <= ord("9"))
+        if np.where(_CANONICAL_SHAPE == 0, digits, chars == _CANONICAL_SHAPE).all():
+            try:
+                parsed = text.astype("U19").astype("datetime64[s]")
+            except ValueError:
+                parsed = None
+            if parsed is not None and (
+                np.datetime_as_string(parsed, unit="s", timezone="UTC") == text
+            ).all():
+                return parsed.astype(np.int64)
+    return np.array([parse_utc(s) for s in stamps], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +206,19 @@ class EventLog:
         Timestamps may be ISO strings or epoch seconds; event types are
         names. Without an explicit roster the observed learners are used.
         """
-        lids, stamps, codes = [], [], []
+        lids, stamps, types = [], [], []
         for learner_id, stamp, event_type in rows:
             lids.append(str(learner_id))
             stamps.append(parse_utc(stamp) if isinstance(stamp, str) else int(stamp))
-            codes.append(EVENT_TYPE_INDEX[event_type])
+            types.append(event_type)
+        return cls._from_columns(
+            session_id, start_date, num_weeks, lids, stamps, types, roster
+        )
+
+    @classmethod
+    def _from_columns(
+        cls, session_id, start_date, num_weeks, lids, stamps, types, roster
+    ) -> "EventLog":
         learners = sorted(set(roster) if roster is not None else set(lids))
         return cls(
             session_id=session_id,
@@ -168,26 +226,36 @@ class EventLog:
             num_weeks=num_weeks,
             learners=tuple(learners),
             learner_ids=np.array(lids, dtype=object),
-            timestamps=np.array(stamps, dtype=np.int64),
-            event_types=np.array(codes, dtype=np.int8),
+            timestamps=np.asarray(stamps, dtype=np.int64),
+            event_types=np.array([EVENT_TYPE_INDEX[t] for t in types], dtype=np.int8),
         )
 
     @classmethod
     def from_dir(cls, session_dir: Path) -> "EventLog":
-        """Read `session.json` + `events.csv` from a session directory."""
+        """Read `session.json` + `events.csv` from a session directory.
+
+        Columns are found by header name, in any order; blank lines are
+        skipped. Timestamps are any ISO-8601 instant `parse_utc` accepts.
+        """
         session_dir = Path(session_dir)
         meta = json.loads((session_dir / SESSION_META_FILE).read_text("utf-8"))
-        rows = []
         with open(session_dir / EVENTS_FILE, newline="", encoding="utf-8") as f:
-            reader = csv.DictReader(f)
-            for rec in reader:
-                rows.append((rec["learner_id"], rec["timestamp"], rec["event_type"]))
-        return cls.from_rows(
-            session_id=meta["session_id"],
-            start_date=dt.date.fromisoformat(meta["start_date"]),
-            num_weeks=int(meta["num_weeks"]),
-            rows=rows,
-            roster=meta["learners"],
+            reader = csv.reader(f)
+            header = next(reader, [])
+            rows = [row for row in reader if row]
+        column = {name: i for i, name in enumerate(header)}
+        lids, stamps, types = (
+            [row[column[name]] for row in rows]
+            for name in ("learner_id", "timestamp", "event_type")
+        )
+        return cls._from_columns(
+            meta["session_id"],
+            dt.date.fromisoformat(meta["start_date"]),
+            int(meta["num_weeks"]),
+            lids,
+            parse_utc_column(stamps),
+            types,
+            meta["learners"],
         )
 
     def write_dir(self, session_dir: Path, course_id: str = "") -> None:
@@ -208,14 +276,13 @@ class EventLog:
             order = np.lexsort(
                 (self.event_types, self.learner_ids.astype(str), self.timestamps)
             )
-            for i in order:
-                writer.writerow(
-                    [
-                        self.learner_ids[i],
-                        format_utc(self.timestamps[i]),
-                        EVENT_TYPES[self.event_types[i]],
-                    ]
+            writer.writerows(
+                zip(
+                    self.learner_ids[order].tolist(),
+                    format_utc_column(self.timestamps[order]),
+                    _EVENT_TYPE_NAMES[self.event_types[order]].tolist(),
                 )
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -446,11 +446,25 @@ class Scheduler:
 
     def _new_job_id(self) -> str:
         existing = [
-            int(p.name.split("-")[1])
+            int(p.name[4:])
             for p in self.jobs_dir.iterdir()
-            if p.is_dir() and p.name.startswith("job-")
+            if p.name.startswith("job-") and p.name[4:].isdecimal()
         ]
         return f"job-{(max(existing) + 1 if existing else 1):06d}"
+
+    def _claim_job_dir(self) -> Tuple[str, Path]:
+        """Create the next job's directory; the `mkdir` is the claim.
+
+        Another scheduler on the same root (the CLI and `serve`) may take
+        the id between the scan and the `mkdir`; then the scan runs again.
+        """
+        while True:
+            job_id = self._new_job_id()
+            try:
+                (self.jobs_dir / job_id).mkdir()
+            except FileExistsError:
+                continue
+            return job_id, self.jobs_dir / job_id
 
     def _job(self, job_id: str) -> _Job:
         with self._lock:
@@ -494,9 +508,7 @@ class Scheduler:
                 "manifest validation failed: " + "; ".join(report.violations)
             )
         with self._lock:
-            job_id = self._new_job_id()
-            job_dir = self.jobs_dir / job_id
-            job_dir.mkdir()
+            job_id, job_dir = self._claim_job_dir()
             job = _Job(job_id, job_dir)
             self._jobs[job_id] = job
         (job_dir / "manifest.json").write_text(render_manifest(manifest))

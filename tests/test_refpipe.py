@@ -80,17 +80,154 @@ class TestEventLog:
                 ("a", ts(0), "video_play"),
                 ("b", ts(8), "quiz_attempt"),
                 ("a", ts(29), "page_view"),
+                ("c", "2020-01-20T14:30:00+02:00", "forum_post"),
             ],
-            roster=["a", "b", "c"],
+            roster=["a", "b", "c", "d"],
         )
         log.write_dir(tmp_path, course_id="course-x")
         back = EventLog.from_dir(tmp_path)
         assert back.learners == log.learners
         assert back.num_weeks == log.num_weeks
         assert back.start_date == log.start_date
-        assert sorted(back.timestamps) == sorted(log.timestamps)
+        assert _triples(back) == _triples(log)
+        assert "c,2020-01-20T12:30:00Z,forum_post" in (
+            (tmp_path / "events.csv").read_text().splitlines()
+        )
         meta = json.loads((tmp_path / "session.json").read_text())
         assert meta["course_id"] == "course-x"
+
+
+def _triples(log):
+    return sorted(
+        zip(log.learner_ids.tolist(), log.timestamps.tolist(), log.event_types.tolist())
+    )
+
+
+def _write_events(session_dir, text, start="2013-01-07", num_weeks=5):
+    """A session dir whose events.csv is `text` verbatim."""
+    session_dir.mkdir(parents=True, exist_ok=True)
+    meta = {
+        "session_id": "s1",
+        "course_id": "c1",
+        "start_date": start,
+        "num_weeks": num_weeks,
+        "learners": ["a", "b"],
+    }
+    (session_dir / "session.json").write_text(json.dumps(meta))
+    (session_dir / "events.csv").write_text(text, newline="")
+    return session_dir
+
+
+def _events_column(session_dir):
+    lines = (session_dir / "events.csv").read_text().splitlines()
+    return [line.split(",")[1] for line in lines[1:]]
+
+
+# one year-999 stamp: strftime writes "999-...", numpy would write "0999-..."
+YEAR_999 = refpipe.date_epoch(dt.date(999, 6, 1)) + 3661
+EDGE_EPOCHS = [
+    0,
+    -1,
+    refpipe.parse_utc("1969-12-31T23:59:59Z"),
+    refpipe.parse_utc("9999-12-31T23:59:59Z"),
+    YEAR_999,
+]
+
+# non-canonical ISO-8601 stamps the reader must take through parse_utc
+ODD_STAMPS = [
+    "2013-01-07T07:12:00+02:00",
+    "2013-01-07T05:12:00",
+    "2013-01-07T05:12:00.750Z",
+    "2013-01-07 05:12:00Z",
+    "2013-01-07T05:12Z",
+]
+
+
+class TestEventCodec:
+    @pytest.mark.parametrize("epoch", EDGE_EPOCHS)
+    def test_writer_matches_format_utc_oracle(self, tmp_path, epoch):
+        assert refpipe.format_utc_column(np.array([epoch])) == [
+            refpipe.format_utc(epoch)
+        ]
+        day = dt.datetime.fromtimestamp(epoch, tz=dt.timezone.utc).date()
+        log = EventLog.from_rows(
+            "s1", day, 1, [("a", epoch, "video_play"), ("b", epoch, "wiki_view")]
+        )
+        log.write_dir(tmp_path)
+        assert _events_column(tmp_path) == [refpipe.format_utc(epoch)] * 2
+
+    def test_writer_column_with_one_out_of_range_year(self):
+        epochs = np.array([0, YEAR_999, 1357534320], dtype=np.int64)
+        column = refpipe.format_utc_column(epochs)
+        assert column == [refpipe.format_utc(e) for e in epochs]
+        assert column[1] == "999-06-01T01:01:01Z"
+
+    def test_writer_random_column_matches_oracle(self):
+        epochs = np.random.default_rng(3).integers(-(10**10), 10**11, size=5000)
+        assert refpipe.format_utc_column(epochs) == [
+            refpipe.format_utc(e) for e in epochs
+        ]
+
+    @pytest.mark.parametrize("stamp", ODD_STAMPS)
+    def test_reader_matches_parse_utc(self, tmp_path, stamp):
+        stamps = ["2013-01-07T05:00:00Z", stamp, "2013-01-08T00:00:00Z"]
+        assert refpipe.parse_utc_column(stamps).tolist() == [
+            refpipe.parse_utc(s) for s in stamps
+        ]
+        rows = "".join(f"a,{s},page_view\n" for s in stamps)
+        log = EventLog.from_dir(
+            _write_events(tmp_path, "learner_id,timestamp,event_type\n" + rows)
+        )
+        assert log.timestamps.tolist() == [refpipe.parse_utc(s) for s in stamps]
+
+    def test_reader_canonical_column_skips_parse_utc(self, monkeypatch):
+        epochs = np.random.default_rng(4).integers(0, 2 * 10**9, size=2000)
+        stamps = [refpipe.format_utc(e) for e in epochs]
+        monkeypatch.setattr(refpipe, "parse_utc", None)
+        parsed = refpipe.parse_utc_column(stamps)
+        assert parsed.dtype == np.int64
+        assert parsed.tolist() == epochs.tolist()
+        assert refpipe.parse_utc_column([]).tolist() == []
+
+    @pytest.mark.parametrize(
+        "stamp", ["2013-02-30T00:00:00Z", "2013-01-07T24:00:00Z", "", "NaT"]
+    )
+    def test_reader_rejects_what_parse_utc_rejects(self, stamp):
+        with pytest.raises(ValueError):
+            refpipe.parse_utc(stamp)
+        with pytest.raises(ValueError):
+            refpipe.parse_utc_column(["2013-01-07T05:00:00Z", stamp])
+
+    def test_blank_lines_skipped(self, tmp_path):
+        text = (
+            "learner_id,timestamp,event_type\n\n"
+            "a,2013-01-07T05:00:00Z,page_view\n\n\n"
+            "b,2013-01-08T05:00:00Z,quiz_attempt\n\n"
+        )
+        log = EventLog.from_dir(_write_events(tmp_path, text))
+        assert log.learner_ids.tolist() == ["a", "b"]
+        assert log.event_types.tolist() == [4, 1]
+
+    def test_header_columns_in_any_order(self, tmp_path):
+        text = (
+            "event_type,timestamp,learner_id\n"
+            "page_view,2013-01-07T05:00:00Z,a\n"
+            "quiz_attempt,2013-01-08T05:00:00Z,b\n"
+        )
+        log = EventLog.from_dir(_write_events(tmp_path, text))
+        assert log.learner_ids.tolist() == ["a", "b"]
+        assert log.timestamps.tolist() == [1357534800, 1357621200]
+        assert log.event_types.tolist() == [4, 1]
+
+    def test_missing_timestamp_column_fails_extract(self, tmp_path, capsys):
+        data = _write_events(
+            tmp_path / "data", "learner_id,event_type\na,page_view\n"
+        )
+        (data / "params.json").write_text('{"feature_weeks": 2}')
+        out = tmp_path / "out"
+        out.mkdir()
+        assert _run(_stage_env("extract", data, out)) == 1
+        assert "timestamp" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -439,6 +439,42 @@ class TestSubmit:
         b = sched.submit(make_manifest())
         assert a != b
 
+    def test_two_schedulers_on_one_root_claim_distinct_ids(
+        self, corpus_registry, tmp_path
+    ):
+        scheds = [Scheduler(tmp_path, corpus_registry) for _ in range(2)]
+        manifest = make_manifest()
+        n_threads, per_thread = 8, 10
+        barrier = threading.Barrier(n_threads)
+        ids, errors = [], []
+
+        def submit_many(sched):
+            barrier.wait()
+            for _ in range(per_thread):
+                try:
+                    ids.append(sched.submit(manifest))
+                except Exception as exc:  # noqa: BLE001 - recorded, asserted below
+                    errors.append(exc)
+
+        threads = [
+            threading.Thread(target=submit_many, args=(scheds[i % 2],))
+            for i in range(n_threads)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert len(ids) == len(set(ids)) == n_threads * per_thread
+        for job_id in ids:
+            assert (tmp_path / "jobs" / job_id / "manifest.json").is_file()
+
+    def test_non_numeric_job_names_ignored(self, corpus_registry, tmp_path):
+        sched = Scheduler(tmp_path, corpus_registry)
+        (tmp_path / "jobs" / "job-notes").mkdir()
+        (tmp_path / "jobs" / "job-000004").write_text("not a job")
+        assert sched.submit(make_manifest()) == "job-000005"
+
     def test_unknown_job_rejected(self, corpus_registry, tmp_path):
         sched = Scheduler(tmp_path, corpus_registry)
         with pytest.raises(SchedulerError, match="unknown job"):
