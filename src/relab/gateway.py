@@ -22,15 +22,15 @@ the scheduler's sandbox policy allows.
 
 from __future__ import annotations
 
-import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
+from .cli import stable_json
 from .manifest import JobManifest, ManifestError, parse_manifest
 from .provenance import ProvenanceError, export_bundle
-from .scheduler import TERMINAL_PHASES, SchedulerError
+from .scheduler import SchedulerError
 
 
 class Gateway(ThreadingHTTPServer):
@@ -86,7 +86,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _send_json(self, code: int, obj: dict, headers=None):
-        body = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        body = stable_json(obj).encode("utf-8")
         self._send(code, body, "application/json", headers)
 
     def _engine(self):
@@ -132,21 +132,16 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, state.to_json_obj(), headers)
 
     def _get_report(self, job_id: str, query: dict):
-        engine = self._engine()
+        scheduler = self._engine().scheduler
         try:
-            state = engine.scheduler.status(job_id)
+            state = scheduler.status(job_id)
         except SchedulerError as exc:
             self._send_json(404, {"error": str(exc)})
             return
-        if state.phase not in TERMINAL_PHASES:
-            self._send_json(
-                409, {"error": f"job {job_id} not terminal", "phase": state.phase}
-            )
-            return
-        try:
-            report = engine.scheduler.eval_report(job_id)
+        try:  # a job not terminal yet raises here too
+            report = scheduler.eval_report(job_id)
         except (SchedulerError, OSError) as exc:
-            self._send_json(409, {"error": str(exc)})
+            self._send_json(409, {"error": str(exc), "phase": state.phase})
             return
         fmt = query.get("format", ["json"])[0]
         if fmt == "csv":

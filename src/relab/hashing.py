@@ -1,4 +1,4 @@
-"""Digest and file-publishing helpers shared across the engine.
+"""Digest, file-publishing and JSONL log helpers shared across the engine.
 
 Every digest in the system is SHA-256, lowercase hex. Composite identifiers
 (cache keys, trial ids) hash a length-prefixed concatenation of their parts
@@ -13,6 +13,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from typing import List
 
 HEX_DIGEST_LEN = 64
 _CHUNK = 1 << 20
@@ -92,3 +93,29 @@ def write_atomic(path: Path, data: bytes) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def append_jsonl(path: Path, obj: dict) -> None:
+    """Append one object to a JSONL log as a single line with sorted keys."""
+    with open(path, "a") as fh:
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def read_jsonl(path: Path) -> List[dict]:
+    """Parse a JSONL log, dropping a torn last line; no file reads as empty.
+
+    A writer killed mid-append leaves one partial line at the end, with no
+    newline. It is cut off the file, so that later appends start on a line
+    of their own; a line that fails to parse anywhere else raises.
+    """
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return []
+    lines = data.splitlines(keepends=True)
+    if lines and not lines[-1].endswith(b"\n"):
+        try:
+            json.loads(lines[-1])
+        except json.JSONDecodeError:
+            os.truncate(path, len(data) - len(lines.pop()))
+    return [json.loads(line) for line in lines if line.strip()]

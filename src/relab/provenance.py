@@ -38,8 +38,10 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from . import ENGINE_VERSION
 from .hashing import (
+    append_jsonl,
     canonical_json_bytes,
     is_hex_digest,
+    read_jsonl,
     sha256_bytes,
     sha256_concat,
     sha256_file,
@@ -331,6 +333,10 @@ class TrialRecord:
 class TrialLedger:
     """Append-only JSONL of trial records; nothing is ever rewritten.
 
+    The file is the only state: every call reads it again, so records
+    another process on the root appended are seen at once. A torn last
+    line is cut off as in a job's event log (``hashing.read_jsonl``).
+
     created_at and parent_trial_id are provenance metadata, not content:
     appending a record whose content fields match the stored one returns
     the stored record untouched, while diverging content under the same
@@ -342,25 +348,20 @@ class TrialLedger:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._records: Dict[str, TrialRecord] = {}
-        self._order = []
-        if self.path.is_file():
-            with open(self.path) as fh:
-                for line in fh:
-                    if line.strip():
-                        rec = TrialRecord.from_json_obj(json.loads(line))
-                        self._records[rec.trial_id] = rec
-                        self._order.append(rec.trial_id)
 
     def get(self, trial_id: str) -> Optional[TrialRecord]:
-        return self._records.get(trial_id)
+        return next((r for r in self.records() if r.trial_id == trial_id), None)
 
     def records(self) -> Tuple[TrialRecord, ...]:
-        return tuple(self._records[t] for t in self._order)
+        """The stored records in append order; the first one per id wins."""
+        by_id: Dict[str, TrialRecord] = {}
+        for obj in read_jsonl(self.path):
+            by_id.setdefault(obj["trial_id"], TrialRecord.from_json_obj(obj))
+        return tuple(by_id.values())
 
     def append(self, record: TrialRecord) -> TrialRecord:
         with self._lock:
-            existing = self._records.get(record.trial_id)
+            existing = self.get(record.trial_id)
             if existing is not None:
                 if existing.content_fields() != record.content_fields():
                     raise IntegrityError(
@@ -371,10 +372,7 @@ class TrialLedger:
             parent = record.parent_trial_id
             if parent is not None:
                 _require_digest(parent, "parent_trial_id")
-            with open(self.path, "a") as fh:
-                fh.write(json.dumps(record.to_json_obj(), sort_keys=True) + "\n")
-            self._records[record.trial_id] = record
-            self._order.append(record.trial_id)
+            append_jsonl(self.path, record.to_json_obj())
             return record
 
 

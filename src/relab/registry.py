@@ -209,6 +209,15 @@ def _session_from_json(obj: dict) -> Session:
     )
 
 
+def check_file_digest(path: Path, registered: str, found: str) -> None:
+    """Raise when a registered file's bytes no longer hash to its digest."""
+    if found != registered:
+        raise RegistryError(
+            f"data drift in {path}: registered {registered[:12]}..., "
+            f"found {found[:12]}..."
+        )
+
+
 def _course_to_json(course: Course) -> dict:
     return {
         "course_id": course.course_id,
@@ -360,9 +369,4 @@ class Registry:
                 path = sdir / f.path
                 if not path.is_file():
                     raise RegistryError(f"missing data file {path}")
-                digest = sha256_file(path)
-                if digest != f.digest:
-                    raise RegistryError(
-                        f"data drift in {path}: registered {f.digest[:12]}..., "
-                        f"found {digest[:12]}..."
-                    )
+                check_file_digest(path, f.digest, sha256_file(path))

@@ -30,21 +30,21 @@ touches another course. Default-command stages are forked from one
 ``StageZygote`` per ``execute`` call. A succeeded unit's work tree is
 deleted once its outputs are in the cache and in ``results/``; a failed
 unit's tree stays, with the stage log that explains it. Job state
-changes append to a JSONL event log that fully reconstructs the job
-after a restart.
+changes append to a JSONL event log that fully reconstructs the job. A
+scheduler keeps in memory only the jobs it submitted or executes; any
+other job is replayed from its files on every call.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-import os
 import shutil
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -58,22 +58,13 @@ from .executor import (
     collect_outputs,
     run_stage,
 )
-from .hashing import canonical_json_bytes, sha256_bytes
+from .hashing import append_jsonl, canonical_json_bytes, read_jsonl, sha256_bytes
 from .manifest import JobManifest, canonicalize, parse_manifest, render_manifest
 from .manifest import validate_manifest
 from .provenance import CacheEntry, CacheStore, cache_key
 from .refpipe import Hyperparams
-from .registry import AccessPolicy, Registry
+from .registry import AccessPolicy, Registry, check_export, check_file_digest
 
-PHASES = (
-    "queued",
-    "planning",
-    "running",
-    "succeeded",
-    "failed",
-    "partial",
-    "cancelled",
-)
 TERMINAL_PHASES = ("succeeded", "failed", "partial", "cancelled")
 
 UNIT_PENDING = "pending"
@@ -121,27 +112,11 @@ class WorkUnit:
         return (self.course_id, self.session_id, self.stage, self.unit_id)
 
     def to_json_obj(self) -> dict:
-        return {
-            "unit_id": self.unit_id,
-            "stage": self.stage,
-            "course_id": self.course_id,
-            "session_id": self.session_id,
-            "depends_on": list(self.depends_on),
-            "cache_key": self.cache_key,
-            "params": self.params,
-        }
+        return asdict(self)  # written only as canonical JSON: keys sorted
 
     @staticmethod
     def from_json_obj(obj: dict) -> "WorkUnit":
-        return WorkUnit(
-            unit_id=obj["unit_id"],
-            stage=obj["stage"],
-            course_id=obj["course_id"],
-            session_id=obj["session_id"],
-            depends_on=tuple(obj["depends_on"]),
-            cache_key=obj["cache_key"],
-            params=obj["params"],
-        )
+        return WorkUnit(**obj)
 
 
 @dataclass(frozen=True)
@@ -182,18 +157,7 @@ class UnitReport:
     detail: str = ""
 
     def to_json_obj(self) -> dict:
-        return {
-            "unit_id": self.unit_id,
-            "stage": self.stage,
-            "course_id": self.course_id,
-            "session_id": self.session_id,
-            "state": self.state,
-            "cache_key": self.cache_key,
-            "stage_status": self.stage_status,
-            "output_digests": dict(sorted(self.output_digests.items())),
-            "duration": self.duration,
-            "detail": self.detail,
-        }
+        return asdict(self)  # written only as canonical JSON: keys sorted
 
 
 @dataclass(frozen=True)
@@ -208,16 +172,7 @@ class JobReport:
     wall_clock: float
 
     def to_json_obj(self) -> dict:
-        return {
-            "job_id": self.job_id,
-            "phase": self.phase,
-            "manifest_digest": self.manifest_digest,
-            "entries": [e.to_json_obj() for e in self.entries],
-            "data_digests": list(self.data_digests),
-            "eval_artifacts": dict(sorted(self.eval_artifacts.items())),
-            "cache_hits": self.cache_hits,
-            "wall_clock": self.wall_clock,
-        }
+        return asdict(self)  # written only as canonical JSON: keys sorted
 
     def determinism_digest(self) -> str:
         """Digest of everything that must not vary across reruns.
@@ -365,23 +320,6 @@ def _input_dir(dep: WorkUnit) -> str:
 # scheduler
 
 
-def _read_events(path: Path) -> List[dict]:
-    """Parse an event log, dropping a torn last line.
-
-    A writer killed mid-append leaves one partial line at the end, with no
-    newline. It is cut off the file, so that later appends start on a line
-    of their own; a line that fails to parse anywhere else raises.
-    """
-    data = path.read_bytes()
-    lines = data.splitlines(keepends=True)
-    if lines and not lines[-1].endswith(b"\n"):
-        try:
-            json.loads(lines[-1])
-        except json.JSONDecodeError:
-            os.truncate(path, len(data) - len(lines.pop()))
-    return [json.loads(line) for line in lines if line.strip()]
-
-
 class _Job:
     def __init__(self, job_id: str, job_dir: Path):
         self.job_id = job_id
@@ -401,9 +339,7 @@ class _Job:
         return self.dir / "events.jsonl"
 
     def append_event(self, event: dict) -> None:
-        event = dict(event, ts=time.time())
-        with open(self.events_path, "a") as fh:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
+        append_jsonl(self.events_path, dict(event, ts=time.time()))
 
     def set_phase(self, phase: str) -> None:
         self.phase = phase
@@ -432,7 +368,7 @@ class Scheduler:
         backend: Optional[ExecutorBackend] = None,
         policy: Optional[AccessPolicy] = None,
     ):
-        self.root = Path(root)
+        self.root = Path(root).absolute()  # sandbox mounts must be absolute
         self.jobs_dir = self.root / "jobs"
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
         self.registry = registry
@@ -466,7 +402,14 @@ class Scheduler:
                 continue
             return job_id, self.jobs_dir / job_id
 
-    def _job(self, job_id: str) -> _Job:
+    def _job(self, job_id: str, keep: bool = False) -> _Job:
+        """A job this scheduler writes, or a fresh replay of its directory.
+
+        Only jobs this scheduler submitted or executes stay in memory;
+        ``keep`` adds a replayed one. Any other job is read from its files
+        on every call, so a job another scheduler on the root runs (the CLI
+        beside ``serve``) is never seen stale.
+        """
         with self._lock:
             if job_id in self._jobs:
                 return self._jobs[job_id]
@@ -474,11 +417,13 @@ class Scheduler:
         if not job_dir.is_dir():
             raise SchedulerError(f"unknown job {job_id!r}")
         job = self._replay(job_id, job_dir)
+        if not keep:
+            return job
         with self._lock:
             return self._jobs.setdefault(job_id, job)
 
     def _replay(self, job_id: str, job_dir: Path) -> _Job:
-        """Rebuild in-memory state from the event log after a restart."""
+        """Read a job's state from its manifest, units and event log."""
         job = _Job(job_id, job_dir)
         manifest_path = job_dir / "manifest.json"
         if manifest_path.is_file():
@@ -488,14 +433,13 @@ class Scheduler:
             obj = json.loads(units_path.read_text())
             job.units = tuple(WorkUnit.from_json_obj(u) for u in obj["units"])
             job.data_digests = tuple(obj["data_digests"])
-        if job.events_path.is_file():
-            for event in _read_events(job.events_path):
-                if event["event"] == "phase":
-                    job.phase = event["phase"]
-                elif event["event"] == "unit":
-                    job.unit_states[event["unit_id"]] = event["state"]
-                elif event["event"] == "trial":
-                    job.trial_id = event["trial_id"]
+        for event in read_jsonl(job.events_path):
+            if event["event"] == "phase":
+                job.phase = event["phase"]
+            elif event["event"] == "unit":
+                job.unit_states[event["unit_id"]] = event["state"]
+            elif event["event"] == "trial":
+                job.trial_id = event["trial_id"]
         return job
 
     # -- operations -----------------------------------------------------------
@@ -592,7 +536,7 @@ class Scheduler:
     def execute(self, job_id: str, parallelism: int = 1) -> JobReport:
         if parallelism < 1:
             raise SchedulerError("parallelism must be a positive integer")
-        job = self._job(job_id)
+        job = self._job(job_id, keep=True)  # so that cancel reaches the loop
         with job.lock:
             if job.phase != "planning" or not job.units:
                 raise SchedulerError(
@@ -644,9 +588,7 @@ class Scheduler:
                         unit = units_by_id[heapq.heappop(ready)[-1]]
                         entry = self.cache.get(unit.cache_key)
                         if entry is not None:
-                            self.cache.materialize(
-                                entry, self._results_dir(job, unit)
-                            )
+                            self._export_cached(entry, self._results_dir(job, unit))
                             finish(unit.unit_id, UNIT_CACHED, _cached(entry))
                         else:
                             job.set_unit_state(unit.unit_id, UNIT_RUNNING)
@@ -685,6 +627,20 @@ class Scheduler:
 
     def _results_dir(self, job: _Job, unit: WorkUnit) -> Path:
         return job.dir / "results" / unit.unit_id
+
+    def _export_cached(self, entry: CacheEntry, dest: Path) -> None:
+        """Export what the policy lets an executed unit export, from blobs.
+
+        The quota is charged with the blobs' sizes, which are the sizes of
+        the output files they were stored from.
+        """
+        digests = entry.output_digests
+        sizes = {
+            rel: self.cache.blob_path(d).stat().st_size for rel, d in digests.items()
+        }
+        decisions = check_export(sizes, self.policy)
+        exported = {d.path: digests[d.path] for d in decisions if d.allowed}
+        self.cache.materialize(replace(entry, output_digests=exported), dest)
 
     def _run_unit(
         self,
@@ -741,7 +697,8 @@ class Scheduler:
     ) -> None:
         """Build the unit's read-only data tree from registry and cache.
 
-        An extract reads its session's registered files; every dependency's
+        An extract reads its session's registered files, and fails on bytes
+        that no longer match their registered digest; every dependency's
         outputs go where its own stage puts them (``_input_dir``).
         """
         if unit.stage == "extract":
@@ -749,9 +706,11 @@ class Scheduler:
             session = course.session(unit.session_id)
             src = self.registry.session_dir(unit.course_id, unit.session_id)
             for f in session.data_files:
+                content = (src / f.path).read_bytes()
+                check_file_digest(src / f.path, f.digest, sha256_bytes(content))
                 target = data / f.path
                 target.parent.mkdir(parents=True, exist_ok=True)
-                target.write_bytes((src / f.path).read_bytes())
+                target.write_bytes(content)
         for dep in deps:
             entry = self.cache.get(dep.cache_key)
             if entry is None:
@@ -803,7 +762,7 @@ class Scheduler:
         """Pool every course's metrics artifact into one evaluation table."""
         job = self._job(job_id)
         if job.phase not in TERMINAL_PHASES:
-            raise SchedulerError(f"job {job_id} has not finished: {job.phase}")
+            raise SchedulerError(f"job {job_id} not terminal: {job.phase}")
         rows = []
         for unit in job.units:
             if unit.stage != "evaluate":

@@ -1,18 +1,25 @@
 """Tests for the command-line frontend: exit codes, output bytes, fork."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import relab
 from relab.cli import Engine, apply_overrides, run
 from relab.manifest import (
     DatasetSelector,
     EvalConfig,
     ManifestError,
     default_manifest,
+    parse_manifest,
     render_manifest,
 )
+from relab.provenance import export_bundle
 
 SYNTH_CFG = {
     "num_courses": 1,
@@ -256,6 +263,94 @@ class TestSynthAndRegister:
                            "--config", cfg, "--out", root["state"] / "registry")
         assert code == 1
         assert "synth failed" in err
+
+
+    def test_module_entry_point_runs(self, tmp_path):
+        src = Path(relab.__file__).resolve().parent.parent
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=str(src) + (
+            os.pathsep + inherited if inherited else ""))
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps(SYNTH_CFG))
+        out = tmp_path / "corpus"
+        proc = subprocess.run(
+            [sys.executable, "-m", "relab.cli", "synth", "--config", str(cfg),
+             "--out", str(out)],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "descriptors" / "course000.json").is_file()
+
+
+def build_root(state, base):
+    """Synthesize and register the test corpus under `state`, via the CLI."""
+    cfg_path = base / "synth.json"
+    cfg_path.write_text(json.dumps(SYNTH_CFG))
+    assert run(["--root", str(state), "synth", "--config", str(cfg_path),
+                "--out", str(Path(state) / "registry")]) == 0
+    assert run(["--root", str(state), "register", "--descriptor",
+                str(Path(state) / "registry" / "descriptors")]) == 0
+
+
+class TestSharedRoot:
+    """Every surface over a root reads job and trial state from its files."""
+
+    def test_second_engine_sees_the_first_engines_job(self, tmp_path, capsys):
+        build_root(tmp_path / "state", tmp_path)
+        capsys.readouterr()
+        first, second = Engine(tmp_path / "state"), Engine(tmp_path / "state")
+        manifest = parse_manifest(make_manifest_text())
+        job_id = first.scheduler.submit(manifest)
+        assert second.scheduler.status(job_id).phase == "queued"
+        _, trial = first.finish_job(job_id, manifest)
+
+        assert trial is not None
+        assert second.scheduler.status(job_id) == first.scheduler.status(job_id)
+        assert second.scheduler.status(job_id).trial_id == trial.trial_id
+        assert (second.scheduler.eval_report(job_id).to_csv()
+                == first.scheduler.eval_report(job_id).to_csv())
+        assert second.ledger.get(trial.trial_id) == trial
+        digests = [
+            export_bundle(engine.ledger, engine.cache, trial.trial_id,
+                          tmp_path / f"{name}.tar")[1]
+            for name, engine in (("first", first), ("second", second))
+        ]
+        assert digests[0] == digests[1]
+
+    def test_relative_root_runs_a_job(self, tmp_path, monkeypatch, capsys):
+        # stages find relab through PYTHONPATH, which must survive the chdir
+        monkeypatch.setenv("PYTHONPATH", str(Path(relab.__file__).parent.parent))
+        monkeypatch.chdir(tmp_path)
+        build_root("rel", Path("."))
+        Path("manifest.json").write_text(make_manifest_text())
+        capsys.readouterr()
+        code, out, err = cli(capsys, "--root", "rel", "submit",
+                             "--manifest", "manifest.json")
+        assert code == 0, err
+        assert out.splitlines()[1].startswith("trial ")
+
+    def test_torn_ledger_tail_is_cut(self, tmp_path, capsys):
+        state = tmp_path / "state"
+        build_root(state, tmp_path)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(make_manifest_text())
+        capsys.readouterr()
+        code, out, _ = cli(capsys, "--root", state, "submit", "--manifest", manifest)
+        assert code == 0
+        job_id = out.splitlines()[0]
+        ledger = state / "engine" / "ledger.jsonl"
+        with open(ledger, "ab") as fh:  # a writer killed mid-append
+            fh.write(b'{"trial_id": "ab')
+
+        code, _, _ = cli(capsys, "--root", state, "status", job_id)
+        assert code == 0
+        manifest.write_text(make_manifest_text(seed=6))
+        code, out, _ = cli(capsys, "--root", state, "submit", "--manifest", manifest)
+        assert code == 0
+        lines = ledger.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 2
+        records = [json.loads(line) for line in lines]
+        assert records[1]["trial_id"] == out.splitlines()[1].split()[1]
 
 
 class TestOverrides:

@@ -15,6 +15,7 @@ from relab.manifest import (
     EvalConfig,
     StageSpec,
     default_manifest,
+    parse_manifest,
     render_manifest,
 )
 from relab.synthdata import SynthConfig, generate_and_register
@@ -179,6 +180,31 @@ class TestJobStateOnDisk:
         events = [json.loads(line) for line in events_path.read_text().splitlines()]
         errors = [e["error"] for e in events if e["event"] == "error"]
         assert errors == ["RuntimeError: executor exploded"]
+
+
+    def test_job_another_engine_ran_is_served(self, tmp_path):
+        server = make_server(new_engine(tmp_path / "state"), port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        cli_engine = Engine(tmp_path / "state")  # what `relab submit` runs
+        manifest = parse_manifest(manifest_text())
+        try:
+            job_id = cli_engine.scheduler.submit(manifest)
+            assert requests.get(f"{base}/jobs/{job_id}").json()["phase"] == "queued"
+            _, trial = cli_engine.finish_job(job_id, manifest)
+
+            status = requests.get(f"{base}/jobs/{job_id}")
+            report = requests.get(f"{base}/jobs/{job_id}/report")
+            bundle = requests.get(f"{base}/trials/{trial.trial_id}/bundle")
+        finally:
+            server.shutdown()
+        assert status.status_code == 200
+        assert status.json()["phase"] == "succeeded"
+        assert status.headers["X-Trial-Id"] == trial.trial_id
+        assert report.status_code == 200
+        assert bundle.status_code == 200
+        assert bundle.headers["X-Bundle-Digest"] == sha256_bytes(bundle.content)
 
 
 @pytest.fixture(scope="module")

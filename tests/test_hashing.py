@@ -103,3 +103,32 @@ class TestCanonicalJson:
     def test_round_trips_through_json(self, obj):
         data = hashing.canonical_json_bytes(obj)
         assert json.loads(data.decode("utf-8")) == obj
+
+
+class TestJsonl:
+    def test_missing_file_reads_empty(self, tmp_path):
+        assert hashing.read_jsonl(tmp_path / "absent.jsonl") == []
+
+    def test_append_writes_one_sorted_line(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        hashing.append_jsonl(path, {"b": 1, "a": "x"})
+        hashing.append_jsonl(path, {"c": [1, 2]})
+        assert path.read_bytes() == b'{"a": "x", "b": 1}\n{"c": [1, 2]}\n'
+        assert hashing.read_jsonl(path) == [{"a": "x", "b": 1}, {"c": [1, 2]}]
+
+    def test_torn_last_line_cut_and_next_append_on_its_own_line(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        hashing.append_jsonl(path, {"n": 1})
+        intact = path.read_bytes()
+        with open(path, "ab") as fh:
+            fh.write(b'{"n": 2, "x')
+        assert hashing.read_jsonl(path) == [{"n": 1}]
+        assert path.read_bytes() == intact
+        hashing.append_jsonl(path, {"n": 3})
+        assert hashing.read_jsonl(path) == [{"n": 1}, {"n": 3}]
+
+    def test_bad_line_before_the_last_raises(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b'{"n": 1\n{"n": 2}\n')
+        with pytest.raises(json.JSONDecodeError):
+            hashing.read_jsonl(path)

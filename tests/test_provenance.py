@@ -6,7 +6,8 @@ import os
 import subprocess
 import sys
 import tarfile
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass, field, replace
 from typing import Dict, Tuple
 
 import pytest
@@ -410,6 +411,70 @@ class TestTrialLedger:
 
         again = replace(base, created_at="2027-01-01T00:00:00+00:00")
         assert ledger.append(again) == base
+
+
+class TestLedgerIsTheFile:
+    """The ledger keeps no copy of its file; every call reads it."""
+
+    def test_record_appended_by_another_ledger_is_seen(self, tmp_path):
+        cache = CacheStore(tmp_path / "cache")
+        path = tmp_path / "ledger.jsonl"
+        reader = TrialLedger(path)
+        assert reader.records() == ()
+        record = record_trial(
+            TrialLedger(path), make_report(tmp_path, cache), make_manifest(),
+            cache=cache,
+        )
+        assert reader.get(record.trial_id) == record
+        assert reader.records() == (record,)
+        assert reader.append(record) == record
+        assert len(path.read_bytes().splitlines()) == 1
+
+    def test_torn_tail_cut_before_the_next_append(self, tmp_path):
+        cache = CacheStore(tmp_path / "cache")
+        path = tmp_path / "ledger.jsonl"
+        ledger = TrialLedger(path)
+        first = record_trial(
+            ledger, make_report(tmp_path, cache), make_manifest(), cache=cache
+        )
+        with open(path, "ab") as fh:  # a writer killed mid-append
+            fh.write(b'{"trial_id": "ab')
+        assert TrialLedger(path).records() == (first,)
+        second = record_trial(
+            ledger, make_report(tmp_path, cache), make_manifest(seed=9), cache=cache
+        )
+        assert TrialLedger(path).records() == (first, second)
+
+    def test_threads_appending_one_ledger_store_each_id_once(self, tmp_path):
+        ledger = TrialLedger(tmp_path / "ledger.jsonl")
+        base = TrialRecord(
+            trial_id="", manifest_digest="cd" * 32, image_ref="img:1",
+            data_digests=(), stage_digests={}, eval_digest="",
+            engine_version="0.1.0", created_at="2026-01-01T00:00:00+00:00",
+        )
+        records = [replace(base, trial_id=f"{i:064x}") for i in range(40)]
+        start = threading.Barrier(16)
+
+        def append_all():
+            start.wait(timeout=60)
+            for record in records:
+                ledger.append(record)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=append_all) for _ in range(16)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        lines = ledger.path.read_bytes().splitlines()
+        assert sorted(json.loads(line)["trial_id"] for line in lines) == [
+            r.trial_id for r in records
+        ]
 
 
 class TestBundles:

@@ -1,5 +1,6 @@
 """Tests for job planning, execution, state tracking, and reports."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -32,7 +33,7 @@ from relab.scheduler import (
     plan_units,
 )
 from relab.study import StudyConfig, course_pairs
-from relab.synthdata import SynthConfig, generate_and_register
+from relab.synthdata import SynthConfig, generate_and_register, generate_corpus
 
 CORPUS = SynthConfig(
     num_courses=2,
@@ -775,6 +776,121 @@ class TestCancel:
         assert late_starts == []
 
 
+class TestJobStateIsTheFiles:
+    """A scheduler holds no stale copy of a job another scheduler writes."""
+
+    def test_reader_sees_the_run_of_another_scheduler(
+        self, corpus_registry, tmp_path
+    ):
+        runner = Scheduler(tmp_path, corpus_registry)
+        reader = Scheduler(tmp_path, corpus_registry)
+        job_id = runner.submit(make_manifest(
+            "holdout",
+            selector=DatasetSelector(kind="whole_course", course_id="course000"),
+        ))
+        assert reader.status(job_id).phase == "queued"
+        runner.plan(job_id)
+        runner.execute(job_id)
+        runner.set_trial(job_id, "ab" * 32)
+
+        assert reader.status(job_id) == runner.status(job_id)
+        assert reader.status(job_id).trial_id == "ab" * 32
+        assert reader.eval_report(job_id) == runner.eval_report(job_id)
+
+    def test_cancel_reaches_a_replayed_job_while_it_runs(
+        self, corpus_registry, tmp_path
+    ):
+        manifest = make_manifest(
+            "holdout",
+            selector=DatasetSelector(kind="whole_course", course_id="course000"),
+        )
+        slowed = dataclasses.replace(manifest, stages=tuple(
+            dataclasses.replace(
+                s, command=("/bin/sh", "-c", "sleep 0.5 && python3 -m relab.refpipe")
+            )
+            for s in manifest.stages
+        ))
+        submitter = Scheduler(tmp_path, corpus_registry)
+        job_id = submitter.submit(slowed)
+        submitter.plan(job_id)
+
+        runner = Scheduler(tmp_path, corpus_registry)  # knows the job only from disk
+        reports = {}
+        thread = threading.Thread(
+            target=lambda: reports.setdefault("report", runner.execute(job_id))
+        )
+        thread.start()
+        time.sleep(0.2)  # let the first unit start
+        runner.cancel(job_id)
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert reports["report"].phase == "cancelled"
+
+
+def with_extract_command(manifest, command, extra_output):
+    """The manifest with the extract stage replaced, declaring one more output."""
+    return dataclasses.replace(manifest, stages=tuple(
+        StageSpec(name=s.name, command=command, timeout=s.timeout,
+                  outputs=s.outputs + (extra_output,))
+        if s.name == "extract" else s
+        for s in manifest.stages
+    ))
+
+
+class TestCacheHitExports:
+    def test_cached_rerun_exports_what_a_run_exports(self, corpus_registry, tmp_path):
+        manifest = with_extract_command(
+            make_manifest(
+                "holdout",
+                selector=DatasetSelector(kind="whole_course", course_id="course000"),
+            ),
+            ("/bin/sh", "-c",
+             'python3 -m relab.refpipe && echo raw > "$OUTPUT_DIR/raw.dat"'),
+            "raw.dat",
+        )
+        sched = Scheduler(tmp_path, corpus_registry)
+        trees = []
+        for _ in range(2):
+            job_id = sched.submit(manifest)
+            sched.plan(job_id)
+            report = sched.execute(job_id)
+            assert report.phase == "succeeded"
+            results = sched.jobs_dir / job_id / "results"
+            trees.append({
+                p.relative_to(results).as_posix(): p.read_bytes()
+                for p in results.rglob("*") if p.is_file()
+            })
+        assert report.cache_hits == len(report.entries)
+        extracts = [e for e in report.entries if e.stage == "extract"]
+        assert all("raw.dat" in e.output_digests for e in extracts)
+        assert not any(path.endswith("raw.dat") for path in trees[0])
+        assert trees[1] == trees[0]
+
+
+class TestDataDrift:
+    def test_drifted_session_fails_its_course_only(self, tmp_path):
+        registry = Registry(tmp_path / "registry")
+        generate_and_register(CORPUS, registry)
+        victim = registry.load_course("course001").sessions[0]
+        events = registry.session_dir("course001", victim.session_id) / "events.csv"
+        # truncated after registration, at a line end: the stage would take it
+        lines = events.read_bytes().splitlines(keepends=True)
+        events.write_bytes(b"".join(lines[: len(lines) // 2]))
+
+        _, _, report = run_job(registry, tmp_path / "engine", make_manifest("holdout"))
+
+        assert report.phase == "partial"
+        by_id = {e.unit_id: e for e in report.entries}
+        broken = by_id[f"course001:{victim.session_id}:extract"]
+        assert broken.state == UNIT_FAILED
+        assert f"data drift in {events}" in broken.detail
+        for unit_id in ("course001:holdout:train", "course001:holdout:test",
+                        "course001:evaluate"):
+            assert by_id[unit_id].state == UNIT_SKIPPED
+        assert all(e.state == UNIT_DONE for e in report.entries
+                   if e.course_id == "course000")
+
+
 @pytest.fixture
 def zygote_pids(monkeypatch):
     """Pids of the stage zygotes that executed units while the test runs."""
@@ -844,11 +960,13 @@ class TestStageZygote:
         )
 
     def test_failed_unit_keeps_its_work_tree(self, tmp_path):
+        # registered malformed, so the extract stage runs and fails on it
         registry = Registry(tmp_path / "registry")
-        generate_and_register(CORPUS, registry)
-        victim = registry.load_course("course001").sessions[0]
-        meta = registry.session_dir("course001", victim.session_id) / "session.json"
-        meta.write_text("not json")
+        descriptors = generate_corpus(CORPUS, registry.root)
+        victim = registry.session_dir("course001", "course001-run1")
+        (victim / "session.json").write_text("not json")
+        for descriptor in descriptors:
+            registry.register_course(descriptor)
         sched, job_id, report = run_job(
             registry,
             tmp_path / "engine",
@@ -858,7 +976,7 @@ class TestStageZygote:
             ),
         )
         kept = [p.name for p in (sched.jobs_dir / job_id / "work").iterdir()]
-        assert kept == [f"course001:{victim.session_id}:extract"]
+        assert kept == ["course001:course001-run1:extract"]
         log = sched.jobs_dir / job_id / "work" / kept[0] / "scratch" / "_stage.log"
         assert b"extract stage failed" in log.read_bytes()
 
