@@ -34,6 +34,7 @@ from .provenance import (
     TrialRecord,
     export_bundle,
     import_bundle,
+    manifest_for_trial,
     record_trial,
 )
 from .registry import Registry, RegistryError
@@ -102,10 +103,6 @@ class Engine:
             self.scheduler.fail(job_id, f"{type(exc).__name__}: {exc}")
             raise
         return report, trial
-
-    def manifest_for_trial(self, record: TrialRecord) -> JobManifest:
-        text = self.cache.get_blob(record.manifest_digest).decode("utf-8")
-        return parse_manifest(text)
 
     def resolve_trial(self, source: str) -> TrialRecord:
         """A trial id in the ledger, or a bundle path to import first."""
@@ -214,7 +211,7 @@ def cmd_fork(engine: Engine, args) -> int:
     try:
         source = engine.resolve_trial(args.source)
         manifest = apply_overrides(
-            engine.manifest_for_trial(source), args.set or []
+            manifest_for_trial(source, engine.cache), args.set or []
         )
         job_id, report, trial = engine.run_job(
             manifest, args.parallelism, parent_trial_id=source.trial_id
@@ -267,7 +264,7 @@ def cmd_serve(engine: Engine, args) -> int:
     return EXIT_OK
 
 
-def cmd_synth(engine: Engine, args) -> int:
+def cmd_synth(args) -> int:
     overrides = {}
     if args.config:
         overrides = json.loads(Path(args.config).read_text())
@@ -371,8 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    engine = Engine(Path(args.root))
-    return args.func(engine, args)
+    if args.func is cmd_synth:  # the one command that never opens the root
+        return cmd_synth(args)
+    return args.func(Engine(Path(args.root)), args)
 
 
 def main() -> None:

@@ -47,13 +47,13 @@ class Gateway(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.engine = engine
         self.parallelism = parallelism
-        self._workers: list = []
+        self._workers: set = set()  # job threads still running
 
     def launch(self, job_id: str, manifest: JobManifest) -> None:
         worker = threading.Thread(
             target=self._run_job, args=(job_id, manifest), daemon=True
         )
-        self._workers.append(worker)
+        self._workers.add(worker)
         worker.start()
 
     def _run_job(self, job_id: str, manifest: JobManifest) -> None:
@@ -61,9 +61,11 @@ class Gateway(ThreadingHTTPServer):
             self.engine.finish_job(job_id, manifest, self.parallelism)
         except Exception:  # finish_job logged the cause in the job's events
             pass
+        finally:
+            self._workers.discard(threading.current_thread())
 
     def wait_idle(self) -> None:
-        """Join all job threads (used by tests and orderly shutdown)."""
+        """Join the job threads still running (tests, orderly shutdown)."""
         for worker in list(self._workers):
             worker.join()
 

@@ -448,7 +448,7 @@ def export_bundle(
     record = ledger.get(trial_id)
     if record is None:
         raise ProvenanceError(f"unknown trial: {trial_id}")
-    manifest = parse_manifest(_manifest_text_for(record, cache))
+    manifest = manifest_for_trial(record, cache)
     canonical = canonicalize(manifest)
     if sha256_bytes(canonical) != record.manifest_digest:
         raise IntegrityError("stored manifest does not match trial record")
@@ -470,10 +470,10 @@ def export_bundle(
     return dest, sha256_file(dest)
 
 
-def _manifest_text_for(record: TrialRecord, cache: CacheStore) -> str:
-    """The manifest text for a trial, recovered from the blob store."""
+def manifest_for_trial(record: TrialRecord, cache: CacheStore) -> JobManifest:
+    """The trial's manifest, recovered from the blob store."""
     try:
-        return cache.get_blob(record.manifest_digest).decode("utf-8")
+        return parse_manifest(cache.get_blob(record.manifest_digest).decode("utf-8"))
     except ProvenanceError:
         raise ProvenanceError(
             f"manifest blob for trial {record.trial_id} not in store; "

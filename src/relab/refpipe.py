@@ -56,9 +56,6 @@ MODEL_FILE = "model.json"
 PREDICTIONS_FILE = "predictions.csv"
 METRICS_FILE = "metrics.json"
 
-STAGE_NAMES = ("extract", "train", "test", "evaluate")
-
-
 # ---------------------------------------------------------------------------
 # time helpers
 
@@ -709,31 +706,17 @@ def _stage_evaluate(data_dir: Path, output_dir: Path, params: dict) -> None:
                 {"scheme": scheme, "auc": auc(scores, labels), "n": len(labels)}
             )
         elif scheme == "cross_validation":
-            fold_dirs = sorted(preds_dir.glob("cv_fold_*"))
+            folds = [
+                read_predictions_csv(fold_dir / PREDICTIONS_FILE)[1:]
+                for fold_dir in sorted(preds_dir.glob("cv_fold_*"))
+            ]
             if params.get("cv_pooling", "pooled") == "pooled":
-                all_scores, all_labels = [], []
-                for fold_dir in fold_dirs:
-                    _, scores, labels = read_predictions_csv(
-                        fold_dir / PREDICTIONS_FILE
-                    )
-                    all_scores.append(scores)
-                    all_labels.append(labels)
-                scores = np.concatenate(all_scores)
-                labels = np.concatenate(all_labels)
-                rows.append(
-                    {"scheme": scheme, "auc": auc(scores, labels), "n": len(labels)}
-                )
+                value = auc(np.concatenate([s for s, _ in folds]),
+                            np.concatenate([y for _, y in folds]))
             else:
-                fold_aucs, total = [], 0
-                for fold_dir in fold_dirs:
-                    _, scores, labels = read_predictions_csv(
-                        fold_dir / PREDICTIONS_FILE
-                    )
-                    fold_aucs.append(auc(scores, labels))
-                    total += len(labels)
-                rows.append(
-                    {"scheme": scheme, "auc": float(np.mean(fold_aucs)), "n": total}
-                )
+                value = float(np.mean([auc(s, y) for s, y in folds]))
+            n = sum(len(y) for _, y in folds)
+            rows.append({"scheme": scheme, "auc": value, "n": n})
         else:
             raise ValueError(f"unknown scheme {scheme!r}")
     metrics = {"course_id": params["course_id"], "week": week, "rows": rows}

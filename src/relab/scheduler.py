@@ -31,8 +31,9 @@ touches another course. Default-command stages are forked from one
 deleted once its outputs are in the cache and in ``results/``; a failed
 unit's tree stays, with the stage log that explains it. Job state
 changes append to a JSONL event log that fully reconstructs the job. A
-scheduler keeps in memory only the jobs it submitted or executes; any
-other job is replayed from its files on every call.
+scheduler keeps no job between calls: each call replays the job from its
+files, and a running ``execute`` holds only the ``threading.Event`` that
+``cancel`` sets.
 """
 
 from __future__ import annotations
@@ -321,17 +322,16 @@ def _input_dir(dep: WorkUnit) -> str:
 
 
 class _Job:
+    """One call's replay of a job's files; its setters append events."""
+
     def __init__(self, job_id: str, job_dir: Path):
         self.job_id = job_id
         self.dir = job_dir
-        self.lock = threading.Lock()
         self.phase = "queued"
         self.manifest: Optional[JobManifest] = None
         self.units: Tuple[WorkUnit, ...] = ()
         self.data_digests: Tuple[str, ...] = ()
         self.unit_states: Dict[str, str] = {}
-        self.results: Dict[str, StageResult] = {}
-        self.cancel_requested = False
         self.trial_id: Optional[str] = None
 
     @property
@@ -375,8 +375,8 @@ class Scheduler:
         self.cache = cache if cache is not None else CacheStore(self.root / "cache")
         self.backend = backend if backend is not None else ExecutorBackend()
         self.policy = policy if policy is not None else AccessPolicy()
-        self._jobs: Dict[str, _Job] = {}
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # orders replays and appends
+        self._cancels: Dict[str, threading.Event] = {}
 
     # -- job bookkeeping ----------------------------------------------------
 
@@ -402,28 +402,17 @@ class Scheduler:
                 continue
             return job_id, self.jobs_dir / job_id
 
-    def _job(self, job_id: str, keep: bool = False) -> _Job:
-        """A job this scheduler writes, or a fresh replay of its directory.
+    def _job(self, job_id: str) -> _Job:
+        """A fresh replay of the job's manifest, units and event log.
 
-        Only jobs this scheduler submitted or executes stay in memory;
-        ``keep`` adds a replayed one. Any other job is read from its files
-        on every call, so a job another scheduler on the root runs (the CLI
-        beside ``serve``) is never seen stale.
+        No job is kept between calls, also none this scheduler submitted
+        or runs, so a job another scheduler on the root wrote (the CLI
+        beside ``serve``) is never seen stale. Callers hold ``_lock``, so
+        that no replay reads an append of this scheduler half-written.
         """
-        with self._lock:
-            if job_id in self._jobs:
-                return self._jobs[job_id]
         job_dir = self.jobs_dir / job_id
         if not job_dir.is_dir():
             raise SchedulerError(f"unknown job {job_id!r}")
-        job = self._replay(job_id, job_dir)
-        if not keep:
-            return job
-        with self._lock:
-            return self._jobs.setdefault(job_id, job)
-
-    def _replay(self, job_id: str, job_dir: Path) -> _Job:
-        """Read a job's state from its manifest, units and event log."""
         job = _Job(job_id, job_dir)
         manifest_path = job_dir / "manifest.json"
         if manifest_path.is_file():
@@ -451,25 +440,23 @@ class Scheduler:
             raise SchedulerError(
                 "manifest validation failed: " + "; ".join(report.violations)
             )
-        with self._lock:
-            job_id, job_dir = self._claim_job_dir()
-            job = _Job(job_id, job_dir)
-            self._jobs[job_id] = job
-        (job_dir / "manifest.json").write_text(render_manifest(manifest))
-        job.manifest = manifest
+        job = _Job(*self._claim_job_dir())
+        (job.dir / "manifest.json").write_text(render_manifest(manifest))
         job.append_event(
             {
                 "event": "submitted",
-                "job_id": job_id,
+                "job_id": job.job_id,
                 "manifest_digest": sha256_bytes(canonicalize(manifest)),
             }
         )
+        for warning in report.warnings:
+            job.append_event({"event": "warning", "warning": warning})
         job.set_phase("queued")
-        return job_id
+        return job.job_id
 
     def plan(self, job_id: str) -> Tuple[WorkUnit, ...]:
-        job = self._job(job_id)
-        with job.lock:
+        with self._lock:
+            job = self._job(job_id)
             if job.phase != "queued":
                 raise SchedulerError(
                     f"plan requires a queued job, {job_id} is {job.phase}"
@@ -478,12 +465,14 @@ class Scheduler:
         try:
             units, data_digests = plan_units(job.manifest, self.registry)
         except Exception:
-            with job.lock:
-                job.set_phase("failed")
+            with self._lock:
+                if self._job(job_id).phase == "planning":
+                    job.set_phase("failed")
             raise
-        with job.lock:
-            job.units = units
-            job.data_digests = data_digests
+        with self._lock:
+            job = self._job(job_id)
+            if job.phase != "planning":  # cancelled while it was planned
+                raise SchedulerError(f"job {job_id} {job.phase} while planning")
             (job.dir / "units.json").write_bytes(
                 canonical_json_bytes(
                     {
@@ -498,35 +487,44 @@ class Scheduler:
         return units
 
     def status(self, job_id: str) -> JobState:
-        job = self._job(job_id)
-        with job.lock:
-            return JobState(
-                job_id=job_id,
-                phase=job.phase,
-                unit_states=dict(job.unit_states),
-                trial_id=job.trial_id,
-            )
+        with self._lock:
+            job = self._job(job_id)
+        return JobState(
+            job_id=job_id,
+            phase=job.phase,
+            unit_states=job.unit_states,
+            trial_id=job.trial_id,
+        )
 
     def cancel(self, job_id: str) -> None:
-        job = self._job(job_id)
-        with job.lock:
+        """End a queued or planned job now; stop a running loop of this one.
+
+        A running job can be cancelled only through the scheduler whose
+        ``execute`` runs it, which is the one that holds its cancel handle.
+        """
+        with self._lock:
+            job = self._job(job_id)
             if job.phase in TERMINAL_PHASES:
                 raise SchedulerError(f"job {job_id} already terminal: {job.phase}")
-            job.cancel_requested = True
             if job.phase in ("queued", "planning"):
                 job.set_cancelled()
+            elif job_id in self._cancels:
+                self._cancels[job_id].set()
+            else:
+                raise SchedulerError(
+                    f"job {job_id} is {job.phase} but not executed by this "
+                    "scheduler; only the scheduler executing it can cancel it"
+                )
 
     def set_trial(self, job_id: str, trial_id: str) -> None:
         """Log the trial a succeeded job was recorded as."""
-        job = self._job(job_id)
-        with job.lock:
-            job.trial_id = trial_id
-            job.append_event({"event": "trial", "trial_id": trial_id})
+        with self._lock:
+            self._job(job_id).append_event({"event": "trial", "trial_id": trial_id})
 
     def fail(self, job_id: str, cause: str) -> None:
         """Log why driving a job raised; a job left unfinished ends failed."""
-        job = self._job(job_id)
-        with job.lock:
+        with self._lock:
+            job = self._job(job_id)
             job.append_event({"event": "error", "error": cause})
             if job.phase not in TERMINAL_PHASES:
                 job.set_phase("failed")
@@ -534,16 +532,47 @@ class Scheduler:
     # -- execution ------------------------------------------------------------
 
     def execute(self, job_id: str, parallelism: int = 1) -> JobReport:
+        """Run a planned job; for the call, ``cancel`` reaches it by an Event."""
         if parallelism < 1:
             raise SchedulerError("parallelism must be a positive integer")
-        job = self._job(job_id, keep=True)  # so that cancel reaches the loop
-        with job.lock:
+        cancelled = threading.Event()
+        with self._lock:
+            job = self._job(job_id)
             if job.phase != "planning" or not job.units:
                 raise SchedulerError(
                     f"execute requires a planned job, {job_id} is {job.phase}"
                 )
             job.set_phase("running")
+            self._cancels[job_id] = cancelled
         started = time.monotonic()
+        try:
+            results = self._dispatch(job, parallelism, cancelled)
+            with self._lock:
+                states = set(job.unit_states.values())
+                if cancelled.is_set():
+                    job.set_cancelled()
+                elif states <= set(_SETTLED):
+                    job.set_phase("succeeded")
+                elif states & set(_SETTLED):
+                    job.set_phase("partial")
+                else:
+                    job.set_phase("failed")
+        finally:
+            with self._lock:
+                del self._cancels[job_id]
+        report = self._assemble_report(job, results, time.monotonic() - started)
+        (job.dir / "report.json").write_bytes(
+            canonical_json_bytes(report.to_json_obj())
+        )
+        return report
+
+    def _dispatch(
+        self, job: _Job, parallelism: int, cancelled: threading.Event
+    ) -> Dict[str, StageResult]:
+        """The coordinator loop over this call's replay; returns the results.
+
+        Unit states, results and the ready heap change on this thread only.
+        """
         units_by_id = {u.unit_id: u for u in job.units}
         dependents: Dict[str, List[str]] = {u.unit_id: [] for u in job.units}
         for unit in job.units:
@@ -553,19 +582,21 @@ class Scheduler:
         unsettled = {u.unit_id: len(u.depends_on) for u in job.units}
         ready = [u.sort_key() for u in job.units if not u.depends_on]
         heapq.heapify(ready)
+        results: Dict[str, StageResult] = {}
 
         def finish(unit_id: str, state: str, result: StageResult) -> None:
             """Record an outcome; ready the dependents or skip them."""
-            job.results[unit_id] = result
-            job.set_unit_state(unit_id, state)
-            if state == UNIT_FAILED:
-                stack = list(dependents[unit_id])
-                while stack:
-                    uid = stack.pop()
-                    if job.unit_states[uid] == UNIT_PENDING:
-                        job.set_unit_state(uid, UNIT_SKIPPED)
-                        stack.extend(dependents[uid])
-                return
+            results[unit_id] = result
+            with self._lock:
+                job.set_unit_state(unit_id, state)
+                if state == UNIT_FAILED:
+                    stack = list(dependents[unit_id])
+                    while stack:
+                        uid = stack.pop()
+                        if job.unit_states[uid] == UNIT_PENDING:
+                            job.set_unit_state(uid, UNIT_SKIPPED)
+                            stack.extend(dependents[uid])
+                    return
             for uid in dependents[unit_id]:
                 unsettled[uid] -= 1
                 if not unsettled[uid]:
@@ -578,25 +609,19 @@ class Scheduler:
             max_workers=parallelism
         ) as pool:
             while True:
-                with job.lock:
-                    # after a cancel nothing new starts; in-flight units finish
-                    while (
-                        ready
-                        and len(futures) < parallelism
-                        and not job.cancel_requested
-                    ):
-                        unit = units_by_id[heapq.heappop(ready)[-1]]
-                        entry = self.cache.get(unit.cache_key)
-                        if entry is not None:
-                            self._export_cached(entry, self._results_dir(job, unit))
-                            finish(unit.unit_id, UNIT_CACHED, _cached(entry))
-                        else:
+                # after a cancel nothing new starts; in-flight units finish
+                while ready and len(futures) < parallelism and not cancelled.is_set():
+                    unit = units_by_id[heapq.heappop(ready)[-1]]
+                    entry = self.cache.get(unit.cache_key)
+                    if entry is not None:
+                        self._export_cached(entry, self._results_dir(job, unit))
+                        finish(unit.unit_id, UNIT_CACHED, _cached(entry))
+                    else:
+                        with self._lock:
                             job.set_unit_state(unit.unit_id, UNIT_RUNNING)
-                            deps = [units_by_id[d] for d in unit.depends_on]
-                            fut = pool.submit(
-                                self._run_unit, job, unit, deps, zygote
-                            )
-                            futures[fut] = unit
+                        deps = [units_by_id[d] for d in unit.depends_on]
+                        fut = pool.submit(self._run_unit, job, unit, deps, zygote)
+                        futures[fut] = unit
                 if not futures:
                     break
                 done, _ = wait(futures, return_when=FIRST_COMPLETED)
@@ -604,24 +629,8 @@ class Scheduler:
                     unit = futures.pop(fut)
                     result = fut.result()
                     ok = result.status == STATUS_SUCCEEDED
-                    with job.lock:
-                        finish(unit.unit_id, UNIT_DONE if ok else UNIT_FAILED, result)
-
-        with job.lock:
-            states = set(job.unit_states.values())
-            if job.cancel_requested:
-                job.set_cancelled()
-            elif states <= set(_SETTLED):
-                job.set_phase("succeeded")
-            elif states & set(_SETTLED):
-                job.set_phase("partial")
-            else:
-                job.set_phase("failed")
-        report = self._assemble_report(job, time.monotonic() - started)
-        (job.dir / "report.json").write_bytes(
-            canonical_json_bytes(report.to_json_obj())
-        )
-        return report
+                    finish(unit.unit_id, UNIT_DONE if ok else UNIT_FAILED, result)
+        return results
 
     # -- unit execution ---------------------------------------------------------
 
@@ -722,45 +731,46 @@ class Scheduler:
 
     # -- reporting ---------------------------------------------------------------
 
-    def _assemble_report(self, job: _Job, wall_clock: float) -> JobReport:
+    def _assemble_report(
+        self, job: _Job, results: Mapping[str, StageResult], wall_clock: float
+    ) -> JobReport:
         entries = []
         eval_artifacts = {}
-        with job.lock:
-            manifest_digest = sha256_bytes(canonicalize(job.manifest))
-            for unit in sorted(job.units, key=WorkUnit.sort_key):
-                state = job.unit_states[unit.unit_id]
-                result = job.results.get(unit.unit_id, _NOT_RUN)
-                entry = UnitReport(
-                    unit_id=unit.unit_id,
-                    stage=unit.stage,
-                    course_id=unit.course_id,
-                    session_id=unit.session_id,
-                    state=state,
-                    cache_key=unit.cache_key,
-                    stage_status=result.status,
-                    output_digests=dict(result.output_digests),
-                    duration=result.duration,
-                    detail=result.detail,
-                )
-                entries.append(entry)
-                if unit.stage == "evaluate" and state in _SETTLED:
-                    digest = entry.output_digests.get("metrics.json", "")
-                    if digest:
-                        eval_artifacts[unit.course_id] = digest
-            return JobReport(
-                job_id=job.job_id,
-                phase=job.phase,
-                manifest_digest=manifest_digest,
-                entries=tuple(entries),
-                data_digests=job.data_digests,
-                eval_artifacts=eval_artifacts,
-                cache_hits=list(job.unit_states.values()).count(UNIT_CACHED),
-                wall_clock=wall_clock,
+        for unit in sorted(job.units, key=WorkUnit.sort_key):
+            state = job.unit_states[unit.unit_id]
+            result = results.get(unit.unit_id, _NOT_RUN)
+            entry = UnitReport(
+                unit_id=unit.unit_id,
+                stage=unit.stage,
+                course_id=unit.course_id,
+                session_id=unit.session_id,
+                state=state,
+                cache_key=unit.cache_key,
+                stage_status=result.status,
+                output_digests=dict(result.output_digests),
+                duration=result.duration,
+                detail=result.detail,
             )
+            entries.append(entry)
+            if unit.stage == "evaluate" and state in _SETTLED:
+                digest = entry.output_digests.get("metrics.json", "")
+                if digest:
+                    eval_artifacts[unit.course_id] = digest
+        return JobReport(
+            job_id=job.job_id,
+            phase=job.phase,
+            manifest_digest=sha256_bytes(canonicalize(job.manifest)),
+            entries=tuple(entries),
+            data_digests=job.data_digests,
+            eval_artifacts=eval_artifacts,
+            cache_hits=list(job.unit_states.values()).count(UNIT_CACHED),
+            wall_clock=wall_clock,
+        )
 
     def eval_report(self, job_id: str) -> EvalReport:
         """Pool every course's metrics artifact into one evaluation table."""
-        job = self._job(job_id)
+        with self._lock:
+            job = self._job(job_id)
         if job.phase not in TERMINAL_PHASES:
             raise SchedulerError(f"job {job_id} not terminal: {job.phase}")
         rows = []

@@ -33,7 +33,7 @@ from relab.manifest import (
     StageSpec,
     default_manifest,
 )
-from relab.provenance import export_bundle, import_bundle
+from relab.provenance import export_bundle, import_bundle, manifest_for_trial
 from relab.refpipe import logistic_gradient, logistic_loss
 from relab.registry import AccessPolicy, Registry
 from relab.scheduler import UNIT_CACHED, Scheduler, plan_units
@@ -365,7 +365,7 @@ def test_criterion_8_fork_roundtrip(tmp_path):
     assert imported.trial_id == origin_trial.trial_id
     assert imported.parent_trial_id == imported.trial_id  # import marker
 
-    replica_manifest = replica.manifest_for_trial(imported)
+    replica_manifest = manifest_for_trial(imported, replica.cache)
     _, replica_report, replica_trial = replica.run_job(
         replica_manifest, parent_trial_id=imported.trial_id
     )

@@ -270,16 +270,18 @@ class TestSynthAndRegister:
         inherited = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=str(src) + (
             os.pathsep + inherited if inherited else ""))
+        env.pop("RELAB_ROOT", None)  # the default root is under the cwd
         cfg = tmp_path / "synth.json"
         cfg.write_text(json.dumps(SYNTH_CFG))
         out = tmp_path / "corpus"
         proc = subprocess.run(
             [sys.executable, "-m", "relab.cli", "synth", "--config", str(cfg),
              "--out", str(out)],
-            env=env, capture_output=True, timeout=120,
+            env=env, cwd=tmp_path, capture_output=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / "descriptors" / "course000.json").is_file()
+        assert not (tmp_path / "relab-root").exists()  # synth opens no root
 
 
 def build_root(state, base):

@@ -207,6 +207,36 @@ class TestJobStateOnDisk:
         assert bundle.headers["X-Bundle-Digest"] == sha256_bytes(bundle.content)
 
 
+class TestWorkerThreads:
+    def test_finished_job_threads_are_dropped(self):
+        release = threading.Event()
+        threads = {}
+
+        class StubEngine:
+            def finish_job(self, job_id, manifest, parallelism=1):
+                threads[job_id] = threading.current_thread()
+                if job_id == "third":
+                    release.wait(timeout=30)
+
+        server = make_server(StubEngine(), port=0)
+        try:
+            server.launch("first", None)
+            server.launch("second", None)
+            server.wait_idle()
+            server.launch("third", None)
+            workers = set(server._workers)
+            alive = [w.is_alive() for w in workers]
+            release.set()
+            server.wait_idle()
+        finally:
+            release.set()
+            server.server_close()
+        assert len(workers) == 1 and alive == [True]
+        assert threads["first"] not in workers
+        assert threads["second"] not in workers
+        assert server._workers == set()
+
+
 @pytest.fixture(scope="module")
 def pair(gateway, tmp_path_factory):
     """The gateway fixture's manifest run through the command line instead."""

@@ -6,6 +6,7 @@ import json
 import os
 import signal
 import subprocess
+import sys
 import threading
 import time
 
@@ -825,6 +826,152 @@ class TestJobStateIsTheFiles:
         thread.join(timeout=30)
         assert not thread.is_alive()
         assert reports["report"].phase == "cancelled"
+
+
+def slowed_holdout_manifest():
+    """A one-course holdout job whose stages each sleep half a second first."""
+    manifest = make_manifest(
+        "holdout",
+        selector=DatasetSelector(kind="whole_course", course_id="course000"),
+    )
+    return dataclasses.replace(manifest, stages=tuple(
+        dataclasses.replace(
+            s, command=("/bin/sh", "-c", "sleep 0.5 && python3 -m relab.refpipe")
+        )
+        for s in manifest.stages
+    ))
+
+
+class TestNoJobCache:
+    """The scheduler that submitted a job keeps no copy of it either."""
+
+    def test_submitter_sees_the_run_of_another_scheduler(
+        self, corpus_registry, tmp_path
+    ):
+        submitter = Scheduler(tmp_path, corpus_registry)
+        runner = Scheduler(tmp_path, corpus_registry)
+        job_id = submitter.submit(make_manifest(
+            "holdout",
+            selector=DatasetSelector(kind="whole_course", course_id="course000"),
+        ))
+        runner.plan(job_id)
+        assert runner.execute(job_id).phase == "succeeded"
+        runner.set_trial(job_id, "cd" * 32)
+
+        assert submitter.status(job_id) == runner.status(job_id)
+        assert submitter.status(job_id).trial_id == "cd" * 32
+        assert submitter.eval_report(job_id) == runner.eval_report(job_id)
+
+    def test_cancel_of_a_job_another_scheduler_runs_raises(
+        self, corpus_registry, tmp_path
+    ):
+        submitter = Scheduler(tmp_path, corpus_registry)
+        job_id = submitter.submit(slowed_holdout_manifest())
+        runner = Scheduler(tmp_path, corpus_registry)
+        runner.plan(job_id)
+        reports = {}
+        thread = threading.Thread(
+            target=lambda: reports.setdefault("report", runner.execute(job_id))
+        )
+        thread.start()
+        try:
+            time.sleep(0.2)  # let the first unit start
+            with pytest.raises(SchedulerError, match="not executed by this scheduler"):
+                submitter.cancel(job_id)
+        finally:
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert reports["report"].phase == "succeeded"
+        assert submitter.status(job_id).phase == "succeeded"
+
+    def test_cancel_while_planning_ends_the_job_cancelled(
+        self, corpus_registry, tmp_path, monkeypatch
+    ):
+        sched = Scheduler(tmp_path, corpus_registry)
+        job_id = sched.submit(make_manifest())
+        real_plan_units = scheduler_module.plan_units
+
+        def plan_then_cancel(manifest, registry):
+            planned = real_plan_units(manifest, registry)
+            Scheduler(tmp_path, corpus_registry).cancel(job_id)
+            return planned
+
+        monkeypatch.setattr(scheduler_module, "plan_units", plan_then_cancel)
+        with pytest.raises(SchedulerError, match="cancelled while planning"):
+            sched.plan(job_id)
+        state = sched.status(job_id)
+        assert state.phase == "cancelled"
+        assert state.unit_states == {}
+        assert not (sched.jobs_dir / job_id / "units.json").exists()
+
+    def test_status_polled_while_the_job_runs(self, executed):
+        sched, _, first = executed
+        job_id = sched.submit(make_manifest("both", k=3))
+        sched.plan(job_id)
+        order = ("running", "succeeded")
+        stop = threading.Event()
+        errors, seen = [], []
+
+        def poll():
+            last = (-1, 0)
+            while not stop.is_set():
+                try:
+                    state = sched.status(job_id)
+                    now = (order.index(state.phase) if state.phase in order else -1,
+                           state.counts()[UNIT_CACHED])
+                    if now < last:
+                        errors.append(f"went back from {last} to {now}")
+                    last = now
+                    seen.append(state.phase)
+                except Exception as exc:  # noqa: BLE001 - asserted below
+                    errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        readers = [threading.Thread(target=poll) for _ in range(4)]
+        try:
+            for t in readers:
+                t.start()
+            report = sched.execute(job_id)
+        finally:
+            stop.set()
+            for t in readers:
+                t.join(timeout=30)
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in readers)
+        assert errors == []
+        assert report.determinism_digest() == first.determinism_digest()
+        fresh = Scheduler(sched.root, sched.registry)
+        assert fresh.status(job_id) == sched.status(job_id)
+        assert seen
+
+    def test_no_cancel_handle_outlives_execute(self, executed):
+        sched, job_id, report = executed
+        assert sched._cancels == {}
+
+
+class TestSubmitWarnings:
+    def test_validation_warning_logged_as_event(self, corpus_registry, tmp_path):
+        sched = Scheduler(tmp_path, corpus_registry)
+        k = CORPUS.learners_per_session + 1  # more folds than learners
+        job_id = sched.submit(make_manifest("cross_validation", k=k))
+        events = [
+            json.loads(line)
+            for line in (sched.jobs_dir / job_id / "events.jsonl")
+            .read_text()
+            .splitlines()
+        ]
+        warnings = [e["warning"] for e in events if e["event"] == "warning"]
+        assert len(warnings) == CORPUS.num_courses
+        assert all(w.startswith(f"cv k={k} exceeds pooled learner count")
+                   for w in warnings)
+        assert sched.status(job_id).phase == "queued"
+
+    def test_no_warning_event_without_a_warning(self, corpus_registry, tmp_path):
+        sched = Scheduler(tmp_path, corpus_registry)
+        job_id = sched.submit(make_manifest("cross_validation", k=3))
+        events = (sched.jobs_dir / job_id / "events.jsonl").read_text()
+        assert '"warning"' not in events
 
 
 def with_extract_command(manifest, command, extra_output):
