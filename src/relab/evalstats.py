@@ -432,18 +432,6 @@ class EvalReport:
             )
         return buf.getvalue()
 
-    def pairs_csv(self) -> str:
-        """Scatter-plot data: one line per course pairing both schemes."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["course_id", "week", "holdout_auc", "cv_auc"])
-        if self.aggregate is not None:
-            for p in self.aggregate.pairs.pairs:
-                writer.writerow(
-                    [p.course_id, p.week, _fmt(p.holdout_auc), _fmt(p.cv_auc)]
-                )
-        return buf.getvalue()
-
     def to_json_obj(self) -> dict:
         return {
             "ci_level": self.ci_level,

@@ -4,16 +4,24 @@ Every digest in the system is SHA-256, lowercase hex. Composite identifiers
 (cache keys, trial ids) hash a length-prefixed concatenation of their parts
 so the encoding is unambiguous and reproducible bit-exactly by third
 parties; the layout is documented in the README.
+
+Every file that several processes on one root may write goes through one
+of two rules, both kept here. A file that never changes once written is
+published by ``write_once``: the first writer, in any process, wins, and
+a later one gets the bytes already there. A log is appended to by
+``append_jsonl`` under ``flock``, and only the holder of that lock repairs
+a line a dead writer tore; ``read_jsonl`` never writes.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import List
+from typing import List, Optional
 
 HEX_DIGEST_LEN = 64
 _CHUNK = 1 << 20
@@ -37,12 +45,6 @@ def sha256_file(path: str | Path) -> str:
 def lp(data: bytes) -> bytes:
     """Length-prefix a field: 8-byte big-endian length followed by the bytes."""
     return len(data).to_bytes(8, "big") + data
-
-
-def lp_u64(value: int) -> bytes:
-    if not 0 <= value < 1 << 64:
-        raise ValueError(f"value out of u64 range: {value}")
-    return lp(value.to_bytes(8, "big"))
 
 
 def sha256_concat(*fields: bytes) -> str:
@@ -76,12 +78,15 @@ def is_hex_digest(value: str) -> bool:
     )
 
 
-def write_atomic(path: Path, data: bytes) -> None:
-    """Write `data` to `path` through a tmp file private to this writer.
+def write_once(path: Path, data: bytes) -> bytes:
+    """Publish `data` at `path` unless a file is there; return what is there.
 
-    Readers and other writers, in this process or another, see either no
-    file or the whole one: a writer that dies mid-write leaves only its
-    own tmp file behind.
+    The bytes go to a tmp file private to this writer, and ``os.link``
+    publishes it, which fails when `path` exists. So exactly one writer,
+    in any process, creates the file, and readers see no file or the
+    whole one; a writer that dies leaves only its own tmp file behind. A
+    later writer gets back the first writer's bytes: whether they may
+    differ from its own is for the caller to judge.
     """
     fd, tmp = tempfile.mkstemp(
         dir=path.parent, prefix=f"{path.name}.", suffix=".tmp"
@@ -89,33 +94,66 @@ def write_atomic(path: Path, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)
-        os.replace(tmp, path)
-    except BaseException:
+        os.link(tmp, path)
+    except FileExistsError:
+        return path.read_bytes()
+    finally:
         os.unlink(tmp)
-        raise
+    return data
 
 
-def append_jsonl(path: Path, obj: dict) -> None:
-    """Append one object to a JSONL log as a single line with sorted keys."""
-    with open(path, "a") as fh:
-        fh.write(json.dumps(obj, sort_keys=True) + "\n")
+def _unfinished(line: bytes) -> bool:
+    """A last line with no newline that is no whole JSON value."""
+    if line.endswith(b"\n"):
+        return False
+    try:
+        json.loads(line)
+    except ValueError:
+        return True
+    return False
+
+
+def append_jsonl(path: Path, obj: dict, unique: Optional[str] = None) -> dict:
+    """Append one object to a JSONL log as a single line with sorted keys.
+
+    The append holds ``flock(LOCK_EX)`` on the log, which the kernel drops
+    when the file closes, also when the process dies. So a last line with
+    no newline can only be a dead writer's: it is cut when it does not
+    parse and ended with a newline when it does. With `unique` (the
+    ledger's ``trial_id``), a record already stored under the same value
+    is returned instead, and nothing is appended. Returns the stored line.
+    """
+    with open(path, "a+b") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        size = fh.seek(0, os.SEEK_END)
+        if size and (unique or os.pread(fh.fileno(), 1, size - 1) != b"\n"):
+            fh.seek(0)
+            lines = fh.read().splitlines(keepends=True)
+            if _unfinished(lines[-1]):
+                fh.truncate(size - len(lines.pop()))
+            elif not lines[-1].endswith(b"\n"):
+                fh.write(b"\n")
+            if unique is not None:
+                for line in filter(bytes.strip, lines):
+                    stored = json.loads(line)
+                    if stored[unique] == obj[unique]:
+                        return stored
+        fh.write((json.dumps(obj, sort_keys=True) + "\n").encode("utf-8"))
+    return obj
 
 
 def read_jsonl(path: Path) -> List[dict]:
-    """Parse a JSONL log, dropping a torn last line; no file reads as empty.
+    """Parse a JSONL log; no file reads as empty. Never writes.
 
-    A writer killed mid-append leaves one partial line at the end, with no
-    newline. It is cut off the file, so that later appends start on a line
-    of their own; a line that fails to parse anywhere else raises.
+    A last line with no newline that does not parse is skipped: it is
+    being appended right now, or a dead writer tore it, and the next
+    appender cuts it. A line that fails to parse anywhere else raises.
     """
     try:
         data = path.read_bytes()
     except FileNotFoundError:
         return []
     lines = data.splitlines(keepends=True)
-    if lines and not lines[-1].endswith(b"\n"):
-        try:
-            json.loads(lines[-1])
-        except json.JSONDecodeError:
-            os.truncate(path, len(data) - len(lines.pop()))
+    if lines and _unfinished(lines[-1]):
+        lines.pop()
     return [json.loads(line) for line in lines if line.strip()]

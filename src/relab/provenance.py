@@ -30,7 +30,6 @@ from __future__ import annotations
 import io
 import json
 import tarfile
-import threading
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -45,7 +44,7 @@ from .hashing import (
     sha256_bytes,
     sha256_concat,
     sha256_file,
-    write_atomic,
+    write_once,
 )
 from .manifest import JobManifest, canonicalize, parse_manifest, render_manifest
 
@@ -168,9 +167,9 @@ class CacheEntry:
 class CacheStore:
     """Entries under ``entries/<key>.json``, bytes under ``blobs/xx/<digest>``.
 
-    Writes are serialized through one lock and land by atomic rename;
-    reads need none because both entry files and blobs are immutable once
-    written.
+    Both are published by ``hashing.write_once``, so the first writer of a
+    key or blob, in any process on the root, wins, and neither changes
+    once written; reads need no lock.
     """
 
     def __init__(self, root: Path):
@@ -179,7 +178,6 @@ class CacheStore:
         self.blobs_dir = self.root / "blobs"
         self.entries_dir.mkdir(parents=True, exist_ok=True)
         self.blobs_dir.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
 
     def _entry_path(self, key: str) -> Path:
         return self.entries_dir / f"{key}.json"
@@ -197,10 +195,8 @@ class CacheStore:
         digest = sha256_bytes(data)
         path = self.blob_path(digest)
         if not path.exists():
-            with self._lock:
-                if not path.exists():
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    write_atomic(path, data)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write_once(path, data)
         return digest
 
     def get_blob(self, digest: str) -> bytes:
@@ -219,7 +215,8 @@ class CacheStore:
 
         The same key bound to different digests means a stage was not
         deterministic (or the key omitted an input); that is an integrity
-        error, never an overwrite.
+        error, never an overwrite, also when the other writer published
+        its entry between this one's lookup and its own publish.
         """
         _require_digest(key, "cache key")
         src_dir = Path(src_dir)
@@ -234,27 +231,22 @@ class CacheStore:
                 )
             payload[rel] = data
             size += len(data)
-        with self._lock:
-            existing = self.get(key)
-            if existing is not None:
-                if existing.output_digests != dict(output_digests):
-                    raise IntegrityError(
-                        f"cache key {key} already bound to different outputs"
-                    )
-                return existing
-        for data in payload.values():
-            self.put_blob(data)
-        entry = CacheEntry(
-            key=key,
-            output_digests=dict(output_digests),
-            created_at=_utc_now(),
-            size_bytes=size,
-        )
-        with self._lock:
-            path = self._entry_path(key)
-            if path.exists():  # another writer bound the key meanwhile
-                return self.get(key)
-            write_atomic(path, canonical_json_bytes(entry.to_json_obj()))
+        entry = self.get(key)
+        if entry is None:
+            for data in payload.values():
+                self.put_blob(data)
+            entry = CacheEntry(
+                key=key,
+                output_digests=dict(output_digests),
+                created_at=_utc_now(),
+                size_bytes=size,
+            )
+            stored = write_once(
+                self._entry_path(key), canonical_json_bytes(entry.to_json_obj())
+            )
+            entry = CacheEntry.from_json_obj(json.loads(stored))
+        if entry.output_digests != dict(output_digests):
+            raise IntegrityError(f"cache key {key} already bound to different outputs")
         return entry
 
     def materialize(self, entry: CacheEntry, dest_dir: Path) -> None:
@@ -334,8 +326,10 @@ class TrialLedger:
     """Append-only JSONL of trial records; nothing is ever rewritten.
 
     The file is the only state: every call reads it again, so records
-    another process on the root appended are seen at once. A torn last
-    line is cut off as in a job's event log (``hashing.read_jsonl``).
+    another process on the root appended are seen at once. Appends go
+    through ``hashing.append_jsonl``, whose lock covers both the look for
+    an id already stored and the write, so no two writers, in any
+    process, store one id twice.
 
     created_at and parent_trial_id are provenance metadata, not content:
     appending a record whose content fields match the stored one returns
@@ -347,7 +341,6 @@ class TrialLedger:
     def __init__(self, path: Path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
 
     def get(self, trial_id: str) -> Optional[TrialRecord]:
         return next((r for r in self.records() if r.trial_id == trial_id), None)
@@ -360,20 +353,16 @@ class TrialLedger:
         return tuple(by_id.values())
 
     def append(self, record: TrialRecord) -> TrialRecord:
-        with self._lock:
-            existing = self.get(record.trial_id)
-            if existing is not None:
-                if existing.content_fields() != record.content_fields():
-                    raise IntegrityError(
-                        f"trial {record.trial_id} already recorded with "
-                        "different content"
-                    )
-                return existing
-            parent = record.parent_trial_id
-            if parent is not None:
-                _require_digest(parent, "parent_trial_id")
-            append_jsonl(self.path, record.to_json_obj())
-            return record
+        if record.parent_trial_id is not None:
+            _require_digest(record.parent_trial_id, "parent_trial_id")
+        stored = TrialRecord.from_json_obj(
+            append_jsonl(self.path, record.to_json_obj(), unique="trial_id")
+        )
+        if stored.content_fields() != record.content_fields():
+            raise IntegrityError(
+                f"trial {record.trial_id} already recorded with different content"
+            )
+        return stored
 
 
 def record_trial(
@@ -491,22 +480,31 @@ def import_bundle(
     names the offending path. The registered record carries
     ``parent_trial_id`` equal to the bundled trial id, marking it as
     imported. Importing into a store that already has the trial returns
-    the existing record unchanged.
+    the existing record unchanged. A file that is no tar archive, or whose
+    trial.json is no object with the record's fields, is an integrity error.
     """
     src = Path(src)
     members: Dict[str, bytes] = {}
-    with tarfile.open(src, "r") as tar:
-        for info in tar.getmembers():
-            name = info.name
-            if not info.isfile() or name.startswith("/") or ".." in name.split("/"):
-                raise IntegrityError(f"unsafe bundle member: {name}")
-            members[name] = tar.extractfile(info).read()
+    try:
+        with tarfile.open(src, "r") as tar:
+            for info in tar.getmembers():
+                name = info.name
+                if not info.isfile() or name.startswith("/") or ".." in name.split("/"):
+                    raise IntegrityError(f"unsafe bundle member: {name}")
+                members[name] = tar.extractfile(info).read()
+    except tarfile.TarError as exc:
+        raise IntegrityError(f"bundle is not a tar archive: {src}: {exc}") from None
 
     for required in (BUNDLE_TRIAL_NAME, BUNDLE_MANIFEST_NAME, BUNDLE_CANONICAL_NAME):
         if required not in members:
             raise IntegrityError(f"bundle missing {required}")
 
-    record = TrialRecord.from_json_obj(json.loads(members[BUNDLE_TRIAL_NAME]))
+    try:
+        record = TrialRecord.from_json_obj(json.loads(members[BUNDLE_TRIAL_NAME]))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise IntegrityError(
+            f"{BUNDLE_TRIAL_NAME} is not a trial record: {exc!r}"
+        ) from None
     canonical = members[BUNDLE_CANONICAL_NAME]
     if sha256_bytes(canonical) != record.manifest_digest:
         raise IntegrityError(f"digest mismatch: {BUNDLE_CANONICAL_NAME}")

@@ -15,13 +15,12 @@ from __future__ import annotations
 import datetime as dt
 import json
 import posixpath
-import threading
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import List, Mapping, Optional, Tuple
 
-from .hashing import canonical_json_bytes, sha256_file, write_atomic
+from .hashing import canonical_json_bytes, sha256_file, write_once
 
 DEFAULT_MAX_EXPORT_BYTES = 64 * 1024 * 1024
 DEFAULT_EXPORT_ALLOWLIST = ("*.csv", "*.json")
@@ -240,8 +239,9 @@ def _course_to_json(course: Course) -> dict:
 class Registry:
     """File-backed course catalog.
 
-    Many readers; registrations serialize within a process, and an index
-    file is published whole, so writers in other processes never collide.
+    Many readers and writers, in any process: an index file is published
+    once by ``hashing.write_once``, so the first registration of a course
+    wins and a later one with other content is an error.
     """
 
     def __init__(self, root: Path):
@@ -250,7 +250,6 @@ class Registry:
         self.index_dir = self.root / "index"
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.index_dir.mkdir(parents=True, exist_ok=True)
-        self._write_lock = threading.Lock()
 
     # -- paths ------------------------------------------------------------
 
@@ -313,15 +312,10 @@ class Registry:
             sessions=tuple(sorted(sessions, key=lambda s: (s.start_date, s.session_id))),
         )
         payload = canonical_json_bytes(_course_to_json(course))
-        with self._write_lock:
-            index_path = self._index_path(course_id)
-            if index_path.exists():
-                if index_path.read_bytes() == payload:
-                    return course
-                raise RegistryError(
-                    f"course {course_id!r} already registered with different content"
-                )
-            write_atomic(index_path, payload)
+        if write_once(self._index_path(course_id), payload) != payload:
+            raise RegistryError(
+                f"course {course_id!r} already registered with different content"
+            )
         return course
 
     # -- lookup -------------------------------------------------------------
@@ -350,11 +344,11 @@ class Registry:
             course = self.load_course(selector.course_id)
             return [(course.course_id, course.session(selector.session_id).session_id)]
         if selector.kind == "whole_course":
-            course = self.load_course(selector.course_id)
-            ordered = sorted(course.sessions, key=lambda s: (s.start_date, s.session_id))
-            return [(course.course_id, s.session_id) for s in ordered]
+            course_ids = [selector.course_id]
+        else:
+            course_ids = self.course_ids()
         pairs = []
-        for course_id in self.course_ids():
+        for course_id in course_ids:
             course = self.load_course(course_id)
             ordered = sorted(course.sessions, key=lambda s: (s.start_date, s.session_id))
             pairs.extend((course.course_id, s.session_id) for s in ordered)

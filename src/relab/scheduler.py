@@ -60,6 +60,7 @@ from .executor import (
     run_stage,
 )
 from .hashing import append_jsonl, canonical_json_bytes, read_jsonl, sha256_bytes
+from .hashing import write_once
 from .manifest import JobManifest, canonicalize, parse_manifest, render_manifest
 from .manifest import validate_manifest
 from .provenance import CacheEntry, CacheStore, cache_key
@@ -375,7 +376,7 @@ class Scheduler:
         self.cache = cache if cache is not None else CacheStore(self.root / "cache")
         self.backend = backend if backend is not None else ExecutorBackend()
         self.policy = policy if policy is not None else AccessPolicy()
-        self._lock = threading.Lock()  # orders replays and appends
+        self._lock = threading.Lock()  # orders this process's transitions
         self._cancels: Dict[str, threading.Event] = {}
 
     # -- job bookkeeping ----------------------------------------------------
@@ -407,8 +408,11 @@ class Scheduler:
 
         No job is kept between calls, also none this scheduler submitted
         or runs, so a job another scheduler on the root wrote (the CLI
-        beside ``serve``) is never seen stale. Callers hold ``_lock``, so
-        that no replay reads an append of this scheduler half-written.
+        beside ``serve``) is never seen stale. A replay needs no lock: the
+        job's JSON files are published whole (``write_once``) and its log
+        skips a line still being appended. Transitions replay, check and
+        append under ``_lock``; only the process that drives a job makes
+        them.
         """
         job_dir = self.jobs_dir / job_id
         if not job_dir.is_dir():
@@ -441,7 +445,7 @@ class Scheduler:
                 "manifest validation failed: " + "; ".join(report.violations)
             )
         job = _Job(*self._claim_job_dir())
-        (job.dir / "manifest.json").write_text(render_manifest(manifest))
+        write_once(job.dir / "manifest.json", render_manifest(manifest).encode())
         job.append_event(
             {
                 "event": "submitted",
@@ -473,13 +477,14 @@ class Scheduler:
             job = self._job(job_id)
             if job.phase != "planning":  # cancelled while it was planned
                 raise SchedulerError(f"job {job_id} {job.phase} while planning")
-            (job.dir / "units.json").write_bytes(
+            write_once(
+                job.dir / "units.json",
                 canonical_json_bytes(
                     {
                         "units": [u.to_json_obj() for u in units],
                         "data_digests": list(data_digests),
                     }
-                )
+                ),
             )
             for unit in units:
                 job.set_unit_state(unit.unit_id, UNIT_PENDING)
@@ -487,8 +492,7 @@ class Scheduler:
         return units
 
     def status(self, job_id: str) -> JobState:
-        with self._lock:
-            job = self._job(job_id)
+        job = self._job(job_id)
         return JobState(
             job_id=job_id,
             phase=job.phase,
@@ -518,8 +522,7 @@ class Scheduler:
 
     def set_trial(self, job_id: str, trial_id: str) -> None:
         """Log the trial a succeeded job was recorded as."""
-        with self._lock:
-            self._job(job_id).append_event({"event": "trial", "trial_id": trial_id})
+        self._job(job_id).append_event({"event": "trial", "trial_id": trial_id})
 
     def fail(self, job_id: str, cause: str) -> None:
         """Log why driving a job raised; a job left unfinished ends failed."""
@@ -561,9 +564,7 @@ class Scheduler:
             with self._lock:
                 del self._cancels[job_id]
         report = self._assemble_report(job, results, time.monotonic() - started)
-        (job.dir / "report.json").write_bytes(
-            canonical_json_bytes(report.to_json_obj())
-        )
+        write_once(job.dir / "report.json", canonical_json_bytes(report.to_json_obj()))
         return report
 
     def _dispatch(
@@ -769,8 +770,7 @@ class Scheduler:
 
     def eval_report(self, job_id: str) -> EvalReport:
         """Pool every course's metrics artifact into one evaluation table."""
-        with self._lock:
-            job = self._job(job_id)
+        job = self._job(job_id)
         if job.phase not in TERMINAL_PHASES:
             raise SchedulerError(f"job {job_id} not terminal: {job.phase}")
         rows = []

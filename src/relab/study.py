@@ -34,13 +34,12 @@ caching, and isolation matter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .evalstats import (
     BiasReport,
-    EvalRow,
     PairedAuc,
     PairedSample,
     auc,
@@ -151,26 +150,3 @@ def run_study(cfg: StudyConfig) -> BiasReport:
         pairs.extend(course_pairs(cfg, course_idx))
     return bias_report(PairedSample(pairs=tuple(pairs)), ci_level=cfg.ci_level)
 
-
-def study_rows(cfg: StudyConfig) -> List[EvalRow]:
-    """Per-course EvalRows in the same shape the engine's reports use."""
-    rows = []
-    for course_idx in range(cfg.synth.num_courses):
-        for pair in course_pairs(cfg, course_idx):
-            rows.append(
-                EvalRow(
-                    course_id=pair.course_id,
-                    week=pair.week,
-                    scheme="holdout",
-                    auc=pair.holdout_auc,
-                )
-            )
-            rows.append(
-                EvalRow(
-                    course_id=pair.course_id,
-                    week=pair.week,
-                    scheme="cross_validation",
-                    auc=pair.cv_auc,
-                )
-            )
-    return rows

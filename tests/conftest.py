@@ -1,7 +1,13 @@
-"""Fixtures shared by the executor and scheduler tests."""
+"""Fixtures shared across the test modules."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import relab
 import relab.executor as executor
 
 
@@ -17,3 +23,53 @@ def spawned(monkeypatch):
 
     monkeypatch.setattr(executor, "_run_subprocess", spy)
     return commands
+
+
+class Children:
+    """Python child processes whose every wait is bounded.
+
+    A child that outlives its wait is killed and fails the test, so a
+    lock that is never released fails the suite instead of hanging it.
+    """
+
+    def __init__(self):
+        self.procs = []
+        paths = (str(Path(relab.__file__).parent.parent), os.environ.get("PYTHONPATH"))
+        self.env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+    def start(self, script: str, *args) -> subprocess.Popen:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, *map(str, args)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=self.env,
+        )
+        self.procs.append(proc)
+        return proc
+
+    def finish(self, proc: subprocess.Popen, timeout: float = 60) -> str:
+        """Wait for a child to exit 0; returns its stdout."""
+        try:
+            out, err = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            pytest.fail(f"child still running after {timeout} s; killed")
+        assert proc.returncode == 0, err.decode()
+        return out.decode()
+
+    def kill_all(self) -> None:
+        for proc in self.procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            proc.stdout.close()
+            proc.stderr.close()
+
+
+@pytest.fixture
+def children():
+    """Start Python children; any still running at teardown is killed."""
+    kids = Children()
+    yield kids
+    kids.kill_all()

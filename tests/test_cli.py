@@ -1,10 +1,12 @@
 """Tests for the command-line frontend: exit codes, output bytes, fork."""
 
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -186,6 +188,25 @@ class TestFork:
         assert code == 1
         assert "fork failed" in err
 
+    def test_file_that_is_no_tar_exits_1(self, root, tmp_path, capsys):
+        bogus = tmp_path / "bogus.tar"
+        bogus.write_bytes(b"not a tar archive\n" * 64)
+        code, _, err = cli(capsys, "--root", root["state"], "fork", bogus)
+        assert code == 1
+        assert "fork failed" in err and "not a tar archive" in err
+
+    def test_bundle_whose_trial_is_no_record_exits_1(self, root, tmp_path, capsys):
+        bundle = tmp_path / "list.tar"
+        with tarfile.open(bundle, "w") as tar:
+            for name, data in (("trial.json", b"[1,2]"), ("manifest.json", b"{}"),
+                               ("manifest.canonical", b"{}")):
+                info = tarfile.TarInfo(name)
+                info.size = len(data)
+                tar.addfile(info, io.BytesIO(data))
+        code, _, err = cli(capsys, "--root", root["state"], "fork", bundle)
+        assert code == 1
+        assert "fork failed" in err and "not a trial record" in err
+
     def test_bad_override_exits_1(self, root, submitted, capsys):
         code, _, err = cli(capsys, "--root", root["state"], "fork",
                            submitted["trial_id"], "--set", "not_a_field=1")
@@ -353,6 +374,25 @@ class TestSharedRoot:
         assert len(lines) == 2
         records = [json.loads(line) for line in lines]
         assert records[1]["trial_id"] == out.splitlines()[1].split()[1]
+
+    def test_root_keeps_no_tmp_file_and_no_unended_log_line(self, tmp_path, capsys):
+        state = tmp_path / "state"
+        build_root(state, tmp_path)
+        capsys.readouterr()
+        engine = Engine(state)
+        manifest = parse_manifest(make_manifest_text())
+        _, cold, trial = engine.run_job(manifest)
+        _, warm, again = engine.run_job(manifest)
+        assert cold.phase == warm.phase == "succeeded"
+        assert warm.cache_hits == len(warm.entries)
+        assert again == trial
+        export_bundle(engine.ledger, engine.cache, trial.trial_id,
+                      state / "bundles" / "trial.tar")
+
+        assert not list(state.rglob("*.tmp"))
+        logs = list(state.rglob("*.jsonl"))
+        assert len(logs) == 3  # two jobs' events and the ledger
+        assert all(log.read_bytes().endswith(b"\n") for log in logs)
 
 
 class TestOverrides:

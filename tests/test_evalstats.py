@@ -406,13 +406,6 @@ class TestEvalReport:
         # 6 per-course rows + 2 summary rows
         assert len(lines) == 1 + 6 + 2
 
-    def test_pairs_csv(self):
-        report = build_eval_report(self._rows(), ci_level=0.95, metadata={})
-        text = report.pairs_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "course_id,week,holdout_auc,cv_auc"
-        assert len(lines) == 4
-
     def test_holdout_only_has_no_aggregate(self):
         rows = [r for r in self._rows() if r.scheme == "holdout"]
         report = build_eval_report(rows, ci_level=0.95, metadata={})

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
+import time
 
 import pytest
 from hypothesis import given
@@ -46,16 +48,6 @@ class TestLengthPrefix:
     def test_layout(self):
         assert hashing.lp(b"abc") == (3).to_bytes(8, "big") + b"abc"
         assert hashing.lp(b"") == (0).to_bytes(8, "big")
-
-    def test_u64_layout(self):
-        assert hashing.lp_u64(5) == (8).to_bytes(8, "big") + (5).to_bytes(8, "big")
-
-    def test_u64_range(self):
-        with pytest.raises(ValueError):
-            hashing.lp_u64(-1)
-        with pytest.raises(ValueError):
-            hashing.lp_u64(2**64)
-        hashing.lp_u64(2**64 - 1)
 
     def test_concat_blocks_boundary_shifts(self):
         # without prefixes ("ab","c") and ("a","bc") would collide
@@ -123,8 +115,8 @@ class TestJsonl:
         with open(path, "ab") as fh:
             fh.write(b'{"n": 2, "x')
         assert hashing.read_jsonl(path) == [{"n": 1}]
-        assert path.read_bytes() == intact
         hashing.append_jsonl(path, {"n": 3})
+        assert path.read_bytes() == intact + b'{"n": 3}\n'
         assert hashing.read_jsonl(path) == [{"n": 1}, {"n": 3}]
 
     def test_bad_line_before_the_last_raises(self, tmp_path):
@@ -132,3 +124,84 @@ class TestJsonl:
         path.write_bytes(b'{"n": 1\n{"n": 2}\n')
         with pytest.raises(json.JSONDecodeError):
             hashing.read_jsonl(path)
+
+    def test_reader_leaves_an_unfinished_line_alone(self, tmp_path):
+        # the line may be another process's append in progress
+        path = tmp_path / "log.jsonl"
+        hashing.append_jsonl(path, {"n": 1})
+        with open(path, "ab") as fh:
+            fh.write(b'{"n": 2, "x')
+        before = path.read_bytes()
+        assert hashing.read_jsonl(path) == [{"n": 1}]
+        assert path.read_bytes() == before
+
+    def test_whole_last_line_without_newline_is_ended(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b'{"n": 1}\n{"n": 2}')
+        assert hashing.read_jsonl(path) == [{"n": 1}, {"n": 2}]
+        hashing.append_jsonl(path, {"n": 3})
+        assert path.read_bytes() == b'{"n": 1}\n{"n": 2}\n{"n": 3}\n'
+
+    def test_unique_returns_the_stored_line_and_appends_nothing(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        first = hashing.append_jsonl(path, {"id": "a", "v": 1}, unique="id")
+        assert first == {"id": "a", "v": 1}
+        hashing.append_jsonl(path, {"id": "b", "v": 2}, unique="id")
+        intact = path.read_bytes()
+        stored = hashing.append_jsonl(path, {"id": "a", "v": 9}, unique="id")
+        assert stored == {"id": "a", "v": 1}
+        assert path.read_bytes() == intact
+
+    def test_append_waits_while_another_holds_the_lock(self, tmp_path, children):
+        path = tmp_path / "log.jsonl"
+        hashing.append_jsonl(path, {"n": 1})
+        ready = tmp_path / "ready"
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from relab.hashing import append_jsonl\n"
+            "Path(sys.argv[2]).touch()\n"
+            "append_jsonl(Path(sys.argv[1]), {'n': 2})\n"
+        )
+        with open(path, "ab") as held:
+            fcntl.flock(held, fcntl.LOCK_EX)
+            child = children.start(script, path, ready)
+            deadline = time.monotonic() + 60
+            while not ready.exists() and child.poll() is None:
+                assert time.monotonic() < deadline, "child never started"
+                time.sleep(0.01)
+            time.sleep(0.5)
+            assert child.poll() is None  # blocked on the lock
+            assert hashing.read_jsonl(path) == [{"n": 1}]
+        children.finish(child)
+        assert hashing.read_jsonl(path) == [{"n": 1}, {"n": 2}]
+
+    def test_reader_in_another_process_loses_no_append(self, tmp_path, children):
+        # ledger-sized lines, appended while this process polls the log
+        path = tmp_path / "ledger.jsonl"
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from relab.hashing import append_jsonl\n"
+            "for i in range(300):\n"
+            "    append_jsonl(Path(sys.argv[1]), {'i': i, 'pad': 'x' * 8000})\n"
+        )
+        child = children.start(script, path)
+        seen = 0
+        deadline = time.monotonic() + 60
+        while child.poll() is None and time.monotonic() < deadline:
+            records = hashing.read_jsonl(path)
+            assert [r["i"] for r in records] == list(range(len(records)))
+            assert len(records) >= seen
+            seen = len(records)
+        children.finish(child)
+        assert [r["i"] for r in hashing.read_jsonl(path)] == list(range(300))
+
+
+class TestWriteOnce:
+    def test_later_writer_gets_the_first_bytes(self, tmp_path):
+        path = tmp_path / "entry.json"
+        assert hashing.write_once(path, b"first") == b"first"
+        assert hashing.write_once(path, b"second") == b"first"
+        assert path.read_bytes() == b"first"
+        assert [p.name for p in tmp_path.iterdir()] == ["entry.json"]

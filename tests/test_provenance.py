@@ -8,6 +8,7 @@ import sys
 import tarfile
 import threading
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Dict, Tuple
 
 import pytest
@@ -228,6 +229,28 @@ class TestCacheStore:
         assert store.get(key) == entry
         assert entry.output_digests == digests
         assert store.get_blob(digests["a.csv"]) == b"payload" * 100
+
+    def test_writers_past_every_existence_check_bind_one_output(
+        self, tmp_path, monkeypatch
+    ):
+        # two stores on one root, as two processes would hold them; each
+        # looks for the entry before the other has published it
+        first, second = CacheStore(tmp_path / "cache"), CacheStore(tmp_path / "cache")
+        src_a, digests_a = self.make_outputs(tmp_path / "a", {"m.json": b"A"})
+        src_b, digests_b = self.make_outputs(tmp_path / "b", {"m.json": b"B"})
+        key = "cd" * 32
+        entries = first.entries_dir
+        for name in ("exists", "is_file"):
+            real = getattr(Path, name)
+            monkeypatch.setattr(
+                Path, name,
+                lambda path, real=real: path.parent != entries and real(path),
+            )
+        first.put(key, digests_a, src_a)
+        with pytest.raises(IntegrityError, match="different outputs"):
+            second.put(key, digests_b, src_b)
+        monkeypatch.undo()
+        assert CacheStore(tmp_path / "cache").get(key).output_digests == digests_a
 
     def test_concurrent_writer_processes_share_one_store(self, tmp_path):
         # more writers than cores, each storing the same blobs in the same
@@ -473,6 +496,39 @@ class TestLedgerIsTheFile:
         assert not any(thread.is_alive() for thread in threads)
         lines = ledger.path.read_bytes().splitlines()
         assert sorted(json.loads(line)["trial_id"] for line in lines) == [
+            r.trial_id for r in records
+        ]
+
+    def test_two_ledgers_on_one_file_store_each_id_once(self, tmp_path):
+        # one ledger object per thread, as each process holds its own
+        path = tmp_path / "ledger.jsonl"
+        base = TrialRecord(
+            trial_id="", manifest_digest="cd" * 32, image_ref="img:1",
+            data_digests=(), stage_digests={}, eval_digest="",
+            engine_version="0.1.0", created_at="2026-01-01T00:00:00+00:00",
+        )
+        records = [replace(base, trial_id=f"{i:064x}") for i in range(200)]
+        start = threading.Barrier(2)
+
+        def append_all():
+            ledger = TrialLedger(path)
+            start.wait(timeout=60)
+            for record in records:
+                ledger.append(record)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=append_all) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        lines = path.read_bytes().splitlines()
+        assert [json.loads(line)["trial_id"] for line in lines] == [
             r.trial_id for r in records
         ]
 

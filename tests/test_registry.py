@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +117,32 @@ class TestRegisterCourse:
                     ],
                 }
             )
+
+    def test_writers_past_every_existence_check_register_one_content(
+        self, tmp_path, monkeypatch
+    ):
+        # two registries on one root, as two processes would hold them;
+        # each looks for the index file before the other has published it
+        first, second = Registry(tmp_path / "registry"), Registry(tmp_path / "registry")
+        descriptor = {
+            "course_id": "course-c",
+            "sessions": [{"session_id": "s1", "start_date": "2016-01-04",
+                          "num_weeks": 5, "files": ["events.csv"]}],
+        }
+        sdir = first.session_dir("course-c", "s1")
+        sdir.mkdir(parents=True)
+        (sdir / "events.csv").write_bytes(b"c1")
+        index = first.index_dir
+        real = Path.exists
+        monkeypatch.setattr(
+            Path, "exists", lambda path: path.parent != index and real(path)
+        )
+        first.register_course(descriptor)
+        published = (index / "course-c.json").read_bytes()
+        descriptor["sessions"][0]["num_weeks"] = 6
+        with pytest.raises(RegistryError, match="different content"):
+            second.register_course(descriptor)
+        assert (index / "course-c.json").read_bytes() == published
 
     def test_descriptor_digest_mismatch(self, tmp_path):
         r = Registry(tmp_path / "registry")

@@ -640,8 +640,10 @@ class TestRestart:
 
         sched_b = Scheduler(tmp_path, corpus_registry)
         assert sched_b.status(job_id) == sched_a.status(job_id)
-        assert events.read_bytes() == intact
         sched_b.cancel(job_id)  # appends after the cut start on a line of their own
+        logged = events.read_bytes()
+        assert logged.startswith(intact)
+        assert all(json.loads(line) for line in logged[len(intact):].splitlines())
         fresh = Scheduler(tmp_path, corpus_registry)
         assert fresh.status(job_id) == sched_b.status(job_id)
         assert fresh.status(job_id).phase == "cancelled"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from relab.study import StudyConfig, course_pairs, run_study, study_rows
+from relab.study import StudyConfig, course_pairs, run_study
 from relab.synthdata import SynthConfig
 
 TINY = StudyConfig(
@@ -76,8 +76,3 @@ class TestRunStudy:
         assert 0.0 <= report.test.p_value <= 1.0
         assert len(report.per_week) == len(TINY.weeks)
 
-    def test_rows_shape(self):
-        rows = study_rows(TINY)
-        assert len(rows) == TINY.synth.num_courses * len(TINY.weeks) * 2
-        schemes = {r.scheme for r in rows}
-        assert schemes == {"holdout", "cross_validation"}
