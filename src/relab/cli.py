@@ -265,14 +265,12 @@ def cmd_serve(engine: Engine, args) -> int:
 
 
 def cmd_synth(args) -> int:
-    overrides = {}
-    if args.config:
-        overrides = json.loads(Path(args.config).read_text())
     try:
+        overrides = json.loads(Path(args.config).read_text()) if args.config else {}
         cfg = SynthConfig(**overrides)
         out = Path(args.out)
         descriptors = generate_corpus(cfg, out)
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         print(f"synth failed: {exc}", file=sys.stderr)
         return EXIT_INVALID
     desc_dir = out / "descriptors"

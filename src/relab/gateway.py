@@ -4,7 +4,7 @@ Endpoints, all JSON unless noted:
 
 * ``POST /jobs`` - body is a manifest document; responds ``202`` with
   ``{"job_id": ...}`` and runs the job in a background thread, or
-  ``400`` when the manifest fails validation.
+  ``400`` when the body is not a valid manifest in UTF-8.
 * ``GET /jobs/{id}`` - job phase and unit states, ``404`` when unknown.
   Matches byte-for-byte with the command line ``status`` output.
 * ``GET /jobs/{id}/report`` - evaluation report of a terminal job
@@ -102,11 +102,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": f"no such endpoint: {self.path}"})
             return
         length = int(self.headers.get("Content-Length", "0"))
-        text = self.rfile.read(length).decode("utf-8")
+        body = self.rfile.read(length)
         try:
-            manifest = parse_manifest(text)
+            manifest = parse_manifest(body.decode("utf-8"))
             job_id = self._engine().scheduler.submit(manifest)
-        except (ManifestError, SchedulerError) as exc:
+        except (UnicodeDecodeError, ManifestError, SchedulerError) as exc:
             self._send_json(400, {"error": str(exc)})
             return
         self.server.launch(job_id, manifest)

@@ -10,7 +10,9 @@ of two rules, both kept here. A file that never changes once written is
 published by ``write_once``: the first writer, in any process, wins, and
 a later one gets the bytes already there. A log is appended to by
 ``append_jsonl`` under ``flock``, and only the holder of that lock repairs
-a line a dead writer tore; ``read_jsonl`` never writes.
+a line a dead writer tore; ``read_jsonl`` never writes. Which call may
+change a job at all is the scheduler's one ``flock`` per job, on the same
+kernel rule: the lock belongs to an open file and dies with its holder.
 """
 
 from __future__ import annotations

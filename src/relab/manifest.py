@@ -52,6 +52,21 @@ def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
         raise ManifestError(f"unknown field(s) in {where}: {', '.join(extra)}")
 
 
+def _typed(value, types, what: str, kind: str):
+    """`value` when it is one of `types`, else an error; a boolean never is."""
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ManifestError(f"{what} must be {kind}")
+    return value
+
+
+def _strings(value, what: str) -> Tuple[str, ...]:
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(v, str) for v in value
+    ):
+        raise ManifestError(f"{what} must be a list of strings")
+    return tuple(value)
+
+
 def _relative_output(path: str, stage: str) -> str:
     if not path or path.startswith("/") or ".." in path.split("/"):
         raise ManifestError(f"stage {stage!r} output {path!r} must be a clean relative path")
@@ -163,11 +178,13 @@ def _parse_stage(obj: dict, index: int) -> StageSpec:
     if not isinstance(obj, dict):
         raise ManifestError(f"{where} must be an object")
     _reject_unknown(obj, {"name", "command", "timeout", "outputs"}, where)
-    name = _require(obj, "name", where)
-    command = tuple(str(c) for c in obj.get("command", DEFAULT_STAGE_COMMAND))
-    timeout = float(obj.get("timeout", DEFAULT_STAGE_TIMEOUT))
-    outputs = tuple(obj.get("outputs", DEFAULT_STAGE_OUTPUTS.get(name, ())))
-    return StageSpec(name=name, command=command, timeout=timeout, outputs=outputs)
+    name = _typed(_require(obj, "name", where), str, f"{where}.name", "a string")
+    command = _strings(obj.get("command", DEFAULT_STAGE_COMMAND), f"{where}.command")
+    timeout = _typed(obj.get("timeout", DEFAULT_STAGE_TIMEOUT), (int, float),
+                     f"{where}.timeout", "a number")
+    outputs = _strings(obj.get("outputs", DEFAULT_STAGE_OUTPUTS.get(name, ())),
+                       f"{where}.outputs")
+    return StageSpec(name=name, command=command, timeout=float(timeout), outputs=outputs)
 
 
 def _parse_selector(obj: dict) -> DatasetSelector:
@@ -186,11 +203,13 @@ def _parse_eval(obj: dict) -> EvalConfig:
     _reject_unknown(
         obj, {"scheme", "k", "metric", "ci_level", "cv_pooling"}, "eval_config"
     )
+    ci_level = _typed(obj.get("ci_level", 0.95), (int, float),
+                      "eval_config.ci_level", "a number")
     return EvalConfig(
         scheme=_require(obj, "scheme", "eval_config"),
-        k=obj.get("k"),
+        k=_typed(obj.get("k"), (int, type(None)), "eval_config.k", "an integer"),
         metric=obj.get("metric", "auc"),
-        ci_level=float(obj.get("ci_level", 0.95)),
+        ci_level=float(ci_level),
         cv_pooling=obj.get("cv_pooling", "pooled"),
     )
 
@@ -226,17 +245,15 @@ def parse_manifest(text: str) -> JobManifest:
     stages_obj = _require(obj, "stages", "manifest")
     if not isinstance(stages_obj, list) or len(stages_obj) != 4:
         raise ManifestError("stages must be a list of exactly 4 entries")
-    seed = _require(obj, "seed", "manifest")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ManifestError("seed must be an integer")
     return JobManifest(
         experiment_name=str(_require(obj, "experiment_name", "manifest")),
         image_ref=str(_require(obj, "image_ref", "manifest")),
         stages=tuple(_parse_stage(s, i) for i, s in enumerate(stages_obj)),
         dataset_selector=_parse_selector(_require(obj, "dataset_selector", "manifest")),
         eval_config=_parse_eval(_require(obj, "eval_config", "manifest")),
-        seed=seed,
-        feature_weeks=int(_require(obj, "feature_weeks", "manifest")),
+        seed=_typed(_require(obj, "seed", "manifest"), int, "seed", "an integer"),
+        feature_weeks=_typed(_require(obj, "feature_weeks", "manifest"), int,
+                             "feature_weeks", "an integer"),
     )
 
 

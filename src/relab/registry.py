@@ -208,6 +208,23 @@ def _session_from_json(obj: dict) -> Session:
     )
 
 
+def _entries(obj: dict, key: str, where: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise RegistryError(f"{where}: {key} must be a list")
+    return value
+
+
+def _id(obj: object, key: str, where: str) -> str:
+    """A non-empty string id from a descriptor object."""
+    if not isinstance(obj, dict):
+        raise RegistryError(f"{where} must be an object")
+    value = obj.get(key)
+    if not value or not isinstance(value, str):
+        raise RegistryError(f"{where} missing {key}")
+    return value
+
+
 def check_file_digest(path: Path, registered: str, found: str) -> None:
     """Raise when a registered file's bytes no longer hash to its digest."""
     if found != registered:
@@ -270,21 +287,29 @@ class Registry:
         computed here and become the registered truth. Re-registering an
         identical descriptor is a no-op; conflicting content is an error.
         """
-        course_id = descriptor.get("course_id")
-        if not course_id:
-            raise RegistryError("descriptor missing course_id")
+        course_id = _id(descriptor, "course_id", "descriptor")
         sessions = []
-        for sess in descriptor.get("sessions", []):
-            session_id = sess.get("session_id")
-            if not session_id:
-                raise RegistryError("session missing session_id")
+        for sess in _entries(descriptor, "sessions", "descriptor"):
+            session_id = _id(sess, "session_id", f"session of {course_id!r}")
+            where = f"session {course_id}/{session_id}"
+            try:
+                start_date = dt.date.fromisoformat(sess["start_date"])
+            except (KeyError, TypeError, ValueError):
+                raise RegistryError(f"{where} needs an ISO start_date") from None
+            num_weeks = sess.get("num_weeks")
+            if isinstance(num_weeks, bool) or not isinstance(num_weeks, int):
+                raise RegistryError(f"{where} needs an integer num_weeks")
             sdir = self.session_dir(course_id, session_id)
             files = []
-            for entry in sess.get("files", []):
+            for entry in _entries(sess, "files", where):
                 if isinstance(entry, str):
                     rel, expected = entry, None
-                else:
+                elif isinstance(entry, dict) and isinstance(entry.get("path"), str):
                     rel, expected = entry["path"], entry.get("digest")
+                else:
+                    raise RegistryError(f"{where}: file entry {entry!r} has no path")
+                if not isinstance(expected, (str, type(None))):
+                    raise RegistryError(f"{where}: digest {expected!r} is not a string")
                 norm = _normalize_relative(rel)
                 if norm is None:
                     raise RegistryError(f"bad data file path {rel!r}")
@@ -301,8 +326,8 @@ class Registry:
             sessions.append(
                 Session(
                     session_id=session_id,
-                    start_date=dt.date.fromisoformat(sess["start_date"]),
-                    num_weeks=int(sess["num_weeks"]),
+                    start_date=start_date,
+                    num_weeks=num_weeks,
                     data_files=tuple(sorted(files, key=lambda f: f.path)),
                 )
             )

@@ -32,22 +32,23 @@ deleted once its outputs are in the cache and in ``results/``; a failed
 unit's tree stays, with the stage log that explains it. Job state
 changes append to a JSONL event log that fully reconstructs the job. A
 scheduler keeps no job between calls: each call replays the job from its
-files, and a running ``execute`` holds only the ``threading.Event`` that
-``cancel`` sets.
+files. One call in any thread or process drives a job, by ``flock`` on
+``jobs/<id>/lock``, which dies with its holder; a ``cancel`` that cannot
+take it publishes ``jobs/<id>/cancel`` for the driver.
 """
 
 from __future__ import annotations
 
+import fcntl
 import heapq
 import json
 import shutil
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from contextlib import closing
+from contextlib import closing, contextmanager, suppress
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .evalstats import EvalReport, EvalRow, build_eval_report, session_roles
 from .executor import (
@@ -94,6 +95,10 @@ def _cached(entry: CacheEntry) -> StageResult:
 
 class SchedulerError(Exception):
     """Raised for invalid submissions, unknown jobs, and bad transitions."""
+
+
+class JobBusyError(SchedulerError):
+    """Raised when another call, in this process or another, drives the job."""
 
 
 @dataclass(frozen=True)
@@ -339,6 +344,11 @@ class _Job:
     def events_path(self) -> Path:
         return self.dir / "events.jsonl"
 
+    @property
+    def cancel_requested(self) -> bool:
+        """Whether a ``cancel`` asked the call driving the job to stop."""
+        return (self.dir / "cancel").exists()
+
     def append_event(self, event: dict) -> None:
         append_jsonl(self.events_path, dict(event, ts=time.time()))
 
@@ -351,9 +361,9 @@ class _Job:
         self.append_event({"event": "unit", "unit_id": unit_id, "state": state})
 
     def set_cancelled(self) -> None:
-        """Skip every unit still pending and end the job cancelled."""
+        """Skip every unit pending, or running under a dead driver; end cancelled."""
         for unit_id, state in sorted(self.unit_states.items()):
-            if state == UNIT_PENDING:
+            if state in (UNIT_PENDING, UNIT_RUNNING):
                 self.set_unit_state(unit_id, UNIT_SKIPPED)
         self.set_phase("cancelled")
 
@@ -376,8 +386,6 @@ class Scheduler:
         self.cache = cache if cache is not None else CacheStore(self.root / "cache")
         self.backend = backend if backend is not None else ExecutorBackend()
         self.policy = policy if policy is not None else AccessPolicy()
-        self._lock = threading.Lock()  # orders this process's transitions
-        self._cancels: Dict[str, threading.Event] = {}
 
     # -- job bookkeeping ----------------------------------------------------
 
@@ -410,9 +418,7 @@ class Scheduler:
         or runs, so a job another scheduler on the root wrote (the CLI
         beside ``serve``) is never seen stale. A replay needs no lock: the
         job's JSON files are published whole (``write_once``) and its log
-        skips a line still being appended. Transitions replay, check and
-        append under ``_lock``; only the process that drives a job makes
-        them.
+        skips a line still being appended.
         """
         job_dir = self.jobs_dir / job_id
         if not job_dir.is_dir():
@@ -434,6 +440,19 @@ class Scheduler:
             elif event["event"] == "trial":
                 job.trial_id = event["trial_id"]
         return job
+
+    @contextmanager
+    def _drive(self, job_id: str) -> Iterator[_Job]:
+        """Hold the job's lock for the block; yield a replay made under it."""
+        job_dir = self.jobs_dir / job_id
+        if not job_dir.is_dir():
+            raise SchedulerError(f"unknown job {job_id!r}")
+        with open(job_dir / "lock", "ab") as lock:
+            try:
+                fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise JobBusyError(f"job {job_id} is driven by another call") from None
+            yield self._job(job_id)
 
     # -- operations -----------------------------------------------------------
 
@@ -459,24 +478,20 @@ class Scheduler:
         return job.job_id
 
     def plan(self, job_id: str) -> Tuple[WorkUnit, ...]:
-        with self._lock:
-            job = self._job(job_id)
+        with self._drive(job_id) as job:
             if job.phase != "queued":
                 raise SchedulerError(
                     f"plan requires a queued job, {job_id} is {job.phase}"
                 )
             job.set_phase("planning")
-        try:
-            units, data_digests = plan_units(job.manifest, self.registry)
-        except Exception:
-            with self._lock:
-                if self._job(job_id).phase == "planning":
-                    job.set_phase("failed")
-            raise
-        with self._lock:
-            job = self._job(job_id)
-            if job.phase != "planning":  # cancelled while it was planned
-                raise SchedulerError(f"job {job_id} {job.phase} while planning")
+            try:
+                units, data_digests = plan_units(job.manifest, self.registry)
+            except Exception:
+                job.set_phase("failed")
+                raise
+            if job.cancel_requested:
+                job.set_cancelled()
+                raise SchedulerError(f"job {job_id} cancelled while planning")
             write_once(
                 job.dir / "units.json",
                 canonical_json_bytes(
@@ -501,75 +516,62 @@ class Scheduler:
         )
 
     def cancel(self, job_id: str) -> None:
-        """End a queued or planned job now; stop a running loop of this one.
+        """End the job now if no live call drives it; otherwise ask its driver.
 
-        A running job can be cancelled only through the scheduler whose
-        ``execute`` runs it, which is the one that holds its cancel handle.
+        A dead driver's job ends here too. A live driver sees
+        ``jobs/<id>/cancel``, starts nothing new and ends the job cancelled.
         """
-        with self._lock:
+        try:
+            with self._drive(job_id) as job:
+                if job.phase not in TERMINAL_PHASES:
+                    job.set_cancelled()
+                    return
+        except JobBusyError:
             job = self._job(job_id)
-            if job.phase in TERMINAL_PHASES:
-                raise SchedulerError(f"job {job_id} already terminal: {job.phase}")
-            if job.phase in ("queued", "planning"):
-                job.set_cancelled()
-            elif job_id in self._cancels:
-                self._cancels[job_id].set()
-            else:
-                raise SchedulerError(
-                    f"job {job_id} is {job.phase} but not executed by this "
-                    "scheduler; only the scheduler executing it can cancel it"
-                )
+            if job.phase not in TERMINAL_PHASES:
+                write_once(job.dir / "cancel", b"")
+                return
+        raise SchedulerError(f"job {job_id} already terminal: {job.phase}")
 
     def set_trial(self, job_id: str, trial_id: str) -> None:
         """Log the trial a succeeded job was recorded as."""
         self._job(job_id).append_event({"event": "trial", "trial_id": trial_id})
 
     def fail(self, job_id: str, cause: str) -> None:
-        """Log why driving a job raised; a job left unfinished ends failed."""
-        with self._lock:
-            job = self._job(job_id)
-            job.append_event({"event": "error", "error": cause})
+        """Log why driving a job raised; an unfinished job no call drives fails."""
+        self._job(job_id).append_event({"event": "error", "error": cause})
+        with suppress(JobBusyError), self._drive(job_id) as job:
             if job.phase not in TERMINAL_PHASES:
                 job.set_phase("failed")
 
     # -- execution ------------------------------------------------------------
 
     def execute(self, job_id: str, parallelism: int = 1) -> JobReport:
-        """Run a planned job; for the call, ``cancel`` reaches it by an Event."""
+        """Run a planned job, holding its lock until the job is terminal."""
         if parallelism < 1:
             raise SchedulerError("parallelism must be a positive integer")
-        cancelled = threading.Event()
-        with self._lock:
-            job = self._job(job_id)
+        with self._drive(job_id) as job:
             if job.phase != "planning" or not job.units:
                 raise SchedulerError(
                     f"execute requires a planned job, {job_id} is {job.phase}"
                 )
             job.set_phase("running")
-            self._cancels[job_id] = cancelled
-        started = time.monotonic()
-        try:
-            results = self._dispatch(job, parallelism, cancelled)
-            with self._lock:
-                states = set(job.unit_states.values())
-                if cancelled.is_set():
-                    job.set_cancelled()
-                elif states <= set(_SETTLED):
-                    job.set_phase("succeeded")
-                elif states & set(_SETTLED):
-                    job.set_phase("partial")
-                else:
-                    job.set_phase("failed")
-        finally:
-            with self._lock:
-                del self._cancels[job_id]
+            started = time.monotonic()
+            results = self._dispatch(job, parallelism)
+            states = set(job.unit_states.values())
+            if job.cancel_requested:
+                job.set_cancelled()
+            elif states <= set(_SETTLED):
+                job.set_phase("succeeded")
+            elif states & set(_SETTLED):
+                job.set_phase("partial")
+            else:
+                job.set_phase("failed")
         report = self._assemble_report(job, results, time.monotonic() - started)
         write_once(job.dir / "report.json", canonical_json_bytes(report.to_json_obj()))
         return report
 
-    def _dispatch(
-        self, job: _Job, parallelism: int, cancelled: threading.Event
-    ) -> Dict[str, StageResult]:
+    def _dispatch(self, job: _Job, parallelism: int) -> Dict[str, StageResult]:
         """The coordinator loop over this call's replay; returns the results.
 
         Unit states, results and the ready heap change on this thread only.
@@ -588,16 +590,15 @@ class Scheduler:
         def finish(unit_id: str, state: str, result: StageResult) -> None:
             """Record an outcome; ready the dependents or skip them."""
             results[unit_id] = result
-            with self._lock:
-                job.set_unit_state(unit_id, state)
-                if state == UNIT_FAILED:
-                    stack = list(dependents[unit_id])
-                    while stack:
-                        uid = stack.pop()
-                        if job.unit_states[uid] == UNIT_PENDING:
-                            job.set_unit_state(uid, UNIT_SKIPPED)
-                            stack.extend(dependents[uid])
-                    return
+            job.set_unit_state(unit_id, state)
+            if state == UNIT_FAILED:
+                stack = list(dependents[unit_id])
+                while stack:
+                    uid = stack.pop()
+                    if job.unit_states[uid] == UNIT_PENDING:
+                        job.set_unit_state(uid, UNIT_SKIPPED)
+                        stack.extend(dependents[uid])
+                return
             for uid in dependents[unit_id]:
                 unsettled[uid] -= 1
                 if not unsettled[uid]:
@@ -611,15 +612,14 @@ class Scheduler:
         ) as pool:
             while True:
                 # after a cancel nothing new starts; in-flight units finish
-                while ready and len(futures) < parallelism and not cancelled.is_set():
+                while ready and len(futures) < parallelism and not job.cancel_requested:
                     unit = units_by_id[heapq.heappop(ready)[-1]]
                     entry = self.cache.get(unit.cache_key)
                     if entry is not None:
                         self._export_cached(entry, self._results_dir(job, unit))
                         finish(unit.unit_id, UNIT_CACHED, _cached(entry))
                     else:
-                        with self._lock:
-                            job.set_unit_state(unit.unit_id, UNIT_RUNNING)
+                        job.set_unit_state(unit.unit_id, UNIT_RUNNING)
                         deps = [units_by_id[d] for d in unit.depends_on]
                         fut = pool.submit(self._run_unit, job, unit, deps, zygote)
                         futures[fut] = unit

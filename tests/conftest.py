@@ -1,6 +1,7 @@
 """Fixtures shared across the test modules."""
 
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +31,9 @@ class Children:
 
     A child that outlives its wait is killed and fails the test, so a
     lock that is never released fails the suite instead of hanging it.
+    Each child leads a session of its own, and a kill reaches its whole
+    process group, so no process it started (a stage zygote, a stage)
+    outlives it.
     """
 
     def __init__(self):
@@ -43,6 +47,7 @@ class Children:
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=self.env,
+            start_new_session=True,
         )
         self.procs.append(proc)
         return proc
@@ -52,17 +57,24 @@ class Children:
         try:
             out, err = proc.communicate(timeout=timeout)
         except subprocess.TimeoutExpired:
-            proc.kill()
+            self.kill(proc)
             proc.communicate()
             pytest.fail(f"child still running after {timeout} s; killed")
         assert proc.returncode == 0, err.decode()
         return out.decode()
 
+    @staticmethod
+    def kill(proc: subprocess.Popen) -> None:
+        """Kill the child's process group, also once the child has exited."""
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait(timeout=10)
+
     def kill_all(self) -> None:
         for proc in self.procs:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
+            self.kill(proc)
             proc.stdout.close()
             proc.stderr.close()
 

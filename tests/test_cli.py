@@ -266,7 +266,47 @@ class TestCompare:
         assert "unknown trial" in err
 
 
+def session_descriptor(drop=None, **fields):
+    """A one-session course descriptor, with one session field dropped or set."""
+    session = {"session_id": "s1", "start_date": "2020-01-06", "num_weeks": 3,
+               "files": []}
+    session.update(fields)
+    session.pop(drop, None)
+    return {"course_id": "c9", "sessions": [session]}
+
+
+MALFORMED_DESCRIPTORS = [
+    pytest.param(["c9"], id="descriptor-not-an-object"),
+    pytest.param({"course_id": "c9", "sessions": ["s1"]}, id="session-not-an-object"),
+    pytest.param(session_descriptor(drop="start_date"), id="no-start-date"),
+    pytest.param(session_descriptor(start_date="monday"), id="bad-start-date"),
+    pytest.param(session_descriptor(drop="num_weeks"), id="no-num-weeks"),
+    pytest.param(session_descriptor(num_weeks="three"), id="bad-num-weeks"),
+    pytest.param(session_descriptor(files=[{"digest": "0" * 64}]), id="file-no-path"),
+]
+
+
 class TestSynthAndRegister:
+    @pytest.mark.parametrize("descriptor", MALFORMED_DESCRIPTORS)
+    def test_register_malformed_descriptor_exits_1(
+        self, root, tmp_path, capsys, descriptor
+    ):
+        path = tmp_path / "descriptor.json"
+        path.write_text(json.dumps(descriptor))
+        code, _, err = cli(capsys, "--root", root["state"], "register",
+                           "--descriptor", path)
+        assert code == 1
+        assert err.startswith("register failed: ")
+
+    @pytest.mark.parametrize("config", [None, "{not json"], ids=["missing", "not-json"])
+    def test_synth_unreadable_config_exits_1(self, tmp_path, capsys, config):
+        path = tmp_path / "synth.json"
+        if config is not None:
+            path.write_text(config)
+        code, _, err = cli(capsys, "synth", "--config", path, "--out", tmp_path / "out")
+        assert code == 1
+        assert err.startswith("synth failed: ")
+
     def test_register_is_idempotent(self, root, capsys):
         code, out, _ = cli(capsys, "--root", root["state"], "register",
                            "--descriptor", root["state"] / "registry" / "descriptors")

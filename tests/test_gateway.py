@@ -79,6 +79,18 @@ class TestJobEndpoints:
         assert response.status_code == 400
         assert "stages" in response.json()["error"]
 
+    @pytest.mark.parametrize("body", [
+        pytest.param(
+            json.dumps(dict(json.loads(manifest_text()), feature_weeks="abc")).encode(),
+            id="wrongly-typed-field",
+        ),
+        pytest.param(b'\xff{"experiment_name": "x"}', id="not-utf-8"),
+    ])
+    def test_malformed_body_is_400(self, gateway, body):
+        response = requests.post(f"{gateway['base']}/jobs", data=body)
+        assert response.status_code == 400
+        assert response.json()["error"]
+
     def test_unknown_job_is_404(self, gateway):
         assert requests.get(f"{gateway['base']}/jobs/job-999999").status_code == 404
 

@@ -41,7 +41,39 @@ def minimal_doc(**overrides):
     return doc
 
 
+def with_stage(index, **fields):
+    doc = minimal_doc()
+    doc["stages"][index].update(fields)
+    return doc
+
+
+WRONGLY_TYPED = [  # (field the error names, document)
+    pytest.param("feature_weeks", minimal_doc(feature_weeks="abc"), id="weeks-str"),
+    pytest.param("feature_weeks", minimal_doc(feature_weeks=True), id="weeks-bool"),
+    pytest.param("timeout", with_stage(1, timeout="abc"), id="timeout-str"),
+    pytest.param("command", with_stage(0, command=5), id="command-int"),
+    pytest.param("command", with_stage(0, command=["python3", 5]), id="command-item"),
+    pytest.param("outputs", with_stage(0, outputs="features.csv"), id="outputs-str"),
+    pytest.param("name", with_stage(2, name=["test"]), id="name-list"),
+    pytest.param(
+        "ci_level",
+        minimal_doc(eval_config={"scheme": "holdout", "ci_level": "x"}),
+        id="ci-str",
+    ),
+    pytest.param(
+        "k",
+        minimal_doc(eval_config={"scheme": "cross_validation", "k": "3"}),
+        id="k-str",
+    ),
+]
+
+
 class TestParse:
+    @pytest.mark.parametrize("field, doc", WRONGLY_TYPED)
+    def test_wrongly_typed_field_is_a_manifest_error(self, field, doc):
+        with pytest.raises(ManifestError, match=field):
+            parse_manifest(json.dumps(doc))
+
     def test_minimal_document_defaults(self):
         m = parse_manifest(json.dumps(minimal_doc()))
         assert m.eval_config.ci_level == 0.95

@@ -164,6 +164,16 @@ class TestRegisterCourse:
                 }
             )
 
+    def test_descriptor_digest_must_be_a_string(self, tmp_path):
+        r = Registry(tmp_path / "registry")
+        sdir = r.session_dir("c", "s")
+        sdir.mkdir(parents=True)
+        (sdir / "events.csv").write_bytes(b"data")
+        session = {"session_id": "s", "start_date": "2020-01-06", "num_weeks": 5,
+                   "files": [{"path": "events.csv", "digest": 5}]}
+        with pytest.raises(RegistryError, match="not a string"):
+            r.register_course({"course_id": "c", "sessions": [session]})
+
     def test_duplicate_start_dates_rejected(self, tmp_path):
         with pytest.raises(RegistryError, match="distinct"):
             make_registry(

@@ -1,6 +1,7 @@
 """Tests for job planning, execution, state tracking, and reports."""
 
 import dataclasses
+import fcntl
 import hashlib
 import json
 import os
@@ -29,6 +30,8 @@ from relab.scheduler import (
     UNIT_CACHED,
     UNIT_DONE,
     UNIT_FAILED,
+    UNIT_PENDING,
+    UNIT_RUNNING,
     UNIT_SKIPPED,
     WorkUnit,
     plan_units,
@@ -696,6 +699,20 @@ class TestFailureIsolation:
         assert set(sched.eval_report(job_id).metadata) == {"job_id"}
 
 
+def slowed_holdout_manifest():
+    """A one-course holdout job whose stages each sleep half a second first."""
+    manifest = make_manifest(
+        "holdout",
+        selector=DatasetSelector(kind="whole_course", course_id="course000"),
+    )
+    return dataclasses.replace(manifest, stages=tuple(
+        dataclasses.replace(
+            s, command=("/bin/sh", "-c", "sleep 0.5 && python3 -m relab.refpipe")
+        )
+        for s in manifest.stages
+    ))
+
+
 class TestCancel:
     def test_cancel_planned_job_skips_everything(self, corpus_registry, tmp_path):
         sched = Scheduler(tmp_path, corpus_registry)
@@ -722,29 +739,8 @@ class TestCancel:
     def test_cancel_running_job_starts_nothing_new(
         self, corpus_registry, tmp_path
     ):
-        manifest = make_manifest(
-            "holdout",
-            selector=DatasetSelector(kind="whole_course", course_id="course000"),
-        )
-        slowed = JobManifest(
-            experiment_name=manifest.experiment_name,
-            image_ref=manifest.image_ref,
-            stages=tuple(
-                StageSpec(
-                    name=s.name,
-                    command=("/bin/sh", "-c", "sleep 0.5 && python3 -m relab.refpipe"),
-                    timeout=s.timeout,
-                    outputs=s.outputs,
-                )
-                for s in manifest.stages
-            ),
-            dataset_selector=manifest.dataset_selector,
-            eval_config=manifest.eval_config,
-            seed=manifest.seed,
-            feature_weeks=manifest.feature_weeks,
-        )
         sched = Scheduler(tmp_path, corpus_registry)
-        job_id = sched.submit(slowed)
+        job_id = sched.submit(slowed_holdout_manifest())
         sched.plan(job_id)
         reports = {}
         thread = threading.Thread(
@@ -803,18 +799,8 @@ class TestJobStateIsTheFiles:
     def test_cancel_reaches_a_replayed_job_while_it_runs(
         self, corpus_registry, tmp_path
     ):
-        manifest = make_manifest(
-            "holdout",
-            selector=DatasetSelector(kind="whole_course", course_id="course000"),
-        )
-        slowed = dataclasses.replace(manifest, stages=tuple(
-            dataclasses.replace(
-                s, command=("/bin/sh", "-c", "sleep 0.5 && python3 -m relab.refpipe")
-            )
-            for s in manifest.stages
-        ))
         submitter = Scheduler(tmp_path, corpus_registry)
-        job_id = submitter.submit(slowed)
+        job_id = submitter.submit(slowed_holdout_manifest())
         submitter.plan(job_id)
 
         runner = Scheduler(tmp_path, corpus_registry)  # knows the job only from disk
@@ -828,20 +814,6 @@ class TestJobStateIsTheFiles:
         thread.join(timeout=30)
         assert not thread.is_alive()
         assert reports["report"].phase == "cancelled"
-
-
-def slowed_holdout_manifest():
-    """A one-course holdout job whose stages each sleep half a second first."""
-    manifest = make_manifest(
-        "holdout",
-        selector=DatasetSelector(kind="whole_course", course_id="course000"),
-    )
-    return dataclasses.replace(manifest, stages=tuple(
-        dataclasses.replace(
-            s, command=("/bin/sh", "-c", "sleep 0.5 && python3 -m relab.refpipe")
-        )
-        for s in manifest.stages
-    ))
 
 
 class TestNoJobCache:
@@ -864,7 +836,7 @@ class TestNoJobCache:
         assert submitter.status(job_id).trial_id == "cd" * 32
         assert submitter.eval_report(job_id) == runner.eval_report(job_id)
 
-    def test_cancel_of_a_job_another_scheduler_runs_raises(
+    def test_cancel_of_a_job_another_scheduler_runs_ends_it_cancelled(
         self, corpus_registry, tmp_path
     ):
         submitter = Scheduler(tmp_path, corpus_registry)
@@ -878,13 +850,12 @@ class TestNoJobCache:
         thread.start()
         try:
             time.sleep(0.2)  # let the first unit start
-            with pytest.raises(SchedulerError, match="not executed by this scheduler"):
-                submitter.cancel(job_id)
+            submitter.cancel(job_id)
         finally:
             thread.join(timeout=60)
         assert not thread.is_alive()
-        assert reports["report"].phase == "succeeded"
-        assert submitter.status(job_id).phase == "succeeded"
+        assert reports["report"].phase == "cancelled"
+        assert submitter.status(job_id).phase == "cancelled"
 
     def test_cancel_while_planning_ends_the_job_cancelled(
         self, corpus_registry, tmp_path, monkeypatch
@@ -948,8 +919,133 @@ class TestNoJobCache:
         assert seen
 
     def test_no_cancel_handle_outlives_execute(self, executed):
+        """The job's lock, the one handle a driver holds, is free again."""
         sched, job_id, report = executed
-        assert sched._cancels == {}
+        with open(sched.jobs_dir / job_id / "lock", "ab") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)  # raises when held
+
+
+EXECUTE_IN_CHILD = """
+import sys
+from relab.registry import Registry
+from relab.scheduler import Scheduler
+root, registry_root, job_id = sys.argv[1:]
+print(Scheduler(root, Registry(registry_root)).execute(job_id).phase)
+"""
+
+
+def wait_until(condition, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, f"still waiting after {timeout} s"
+        time.sleep(0.05)
+
+
+def job_events(sched, job_id):
+    return [
+        json.loads(line)
+        for line in (sched.jobs_dir / job_id / "events.jsonl").read_text().splitlines()
+    ]
+
+
+class TestOneDriver:
+    """One call in any process drives a job; cancel reaches it from anywhere."""
+
+    def test_two_schedulers_execute_one_planned_job_once(
+        self, corpus_registry, tmp_path
+    ):
+        manifest = make_manifest(
+            "holdout",
+            selector=DatasetSelector(kind="whole_course", course_id="course000"),
+        )
+
+        def execute(sched, job_id, start, outcomes):
+            start.wait()
+            try:
+                outcomes.append(sched.execute(job_id).phase)
+            except SchedulerError:
+                outcomes.append("refused")
+
+        submitter = Scheduler(tmp_path, corpus_registry)
+        for _ in range(10):
+            job_id = submitter.submit(manifest)
+            submitter.plan(job_id)
+            start, outcomes = threading.Barrier(2), []
+            threads = [
+                threading.Thread(target=execute, args=(
+                    Scheduler(tmp_path, corpus_registry), job_id, start, outcomes
+                ))
+                for _ in range(2)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert sorted(outcomes) == ["refused", "succeeded"]
+            phases = [e["phase"] for e in job_events(submitter, job_id)
+                      if e["event"] == "phase"]
+            assert phases.count("running") == 1
+
+    def test_a_job_another_process_drives_is_cancelled_from_here(
+        self, corpus_registry, tmp_path, children
+    ):
+        sched = Scheduler(tmp_path, corpus_registry)
+        job_id = sched.submit(slowed_holdout_manifest())
+        sched.plan(job_id)
+        child = children.start(EXECUTE_IN_CHILD, tmp_path, corpus_registry.root, job_id)
+        wait_until(lambda: sched.status(job_id).phase == "running")
+
+        for call in (sched.plan, sched.execute):
+            with pytest.raises(SchedulerError, match="driven by another call"):
+                call(job_id)
+        sched.cancel(job_id)
+        assert children.finish(child).split() == ["cancelled"]
+        assert sched.status(job_id).phase == "cancelled"
+
+    def test_a_dead_drivers_job_is_cancelled_and_its_manifest_resubmitted(
+        self, corpus_registry, tmp_path, children
+    ):
+        manifest = slowed_holdout_manifest()
+        reference = Scheduler(tmp_path / "reference", corpus_registry)
+        ref_id = reference.submit(manifest)
+        reference.plan(ref_id)
+        uninterrupted = reference.execute(ref_id, parallelism=3)
+
+        sched = Scheduler(tmp_path / "root", corpus_registry)
+        job_id = sched.submit(manifest)
+        sched.plan(job_id)
+        child = children.start(EXECUTE_IN_CHILD, sched.root, corpus_registry.root, job_id)
+        wait_until(lambda: sched.status(job_id).counts()[UNIT_DONE] >= 1)
+        children.kill(child)  # the child, its zygote and its stages
+        dead = sched.status(job_id)
+        assert dead.phase == "running"
+        finished = {u for u, state in dead.unit_states.items() if state == UNIT_DONE}
+
+        Scheduler(sched.root, corpus_registry).cancel(job_id)
+        state = sched.status(job_id)
+        assert state.phase == "cancelled"
+        assert state.counts()[UNIT_PENDING] == state.counts()[UNIT_RUNNING] == 0
+
+        rerun_id = sched.submit(manifest)
+        sched.plan(rerun_id)
+        report = sched.execute(rerun_id, parallelism=3)
+        assert report.phase == "succeeded"
+        assert report.determinism_digest() == uninterrupted.determinism_digest()
+        assert finished <= {e.unit_id for e in report.entries if e.state == UNIT_CACHED}
+
+    def test_fail_of_a_job_another_call_drives_leaves_its_phase(
+        self, corpus_registry, tmp_path
+    ):
+        sched = Scheduler(tmp_path, corpus_registry)
+        job_id = sched.submit(make_manifest("holdout"))
+        sched.plan(job_id)
+        with open(sched.jobs_dir / job_id / "lock", "ab") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)  # another call drives the job
+            Scheduler(tmp_path, corpus_registry).fail(job_id, "RuntimeError: boom")
+        assert sched.status(job_id).phase == "planning"
+        last = job_events(sched, job_id)[-1]
+        assert (last["event"], last["error"]) == ("error", "RuntimeError: boom")
 
 
 class TestSubmitWarnings:
