@@ -177,12 +177,28 @@ def cmd_results(engine: Engine, args) -> int:
     return EXIT_OK
 
 
+# fields whose override value is the raw text, never its JSON reading, so
+# that course "7" stays "7"; a selector id still clears with "null"
+_TEXT_OVERRIDES = ("experiment_name", "image_ref")
+_ID_OVERRIDES = ("dataset_selector.course_id", "dataset_selector.session_id")
+
+
+def _override_value(key: str, raw: str):
+    if key in _TEXT_OVERRIDES or (key in _ID_OVERRIDES and raw != "null"):
+        return raw
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        return raw
+
+
 def apply_overrides(manifest: JobManifest, settings: List[str]) -> JobManifest:
     """Apply ``dotted.key=value`` overrides through the manifest document.
 
     Values parse as JSON when possible (numbers, booleans, lists) and
-    fall back to plain strings; re-parsing the document enforces every
-    manifest validity rule on the result.
+    fall back to plain strings; the names and selector ids always take
+    the plain string. Re-parsing the document enforces every manifest
+    validity rule on the result.
     """
     from .manifest import manifest_to_json_obj
 
@@ -191,10 +207,6 @@ def apply_overrides(manifest: JobManifest, settings: List[str]) -> JobManifest:
         if "=" not in setting:
             raise ManifestError(f"override must be key=value: {setting!r}")
         key, raw = setting.split("=", 1)
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
         target = obj
         parts = key.split(".")
         for part in parts[:-1]:
@@ -203,7 +215,7 @@ def apply_overrides(manifest: JobManifest, settings: List[str]) -> JobManifest:
             target = target[part]
         if parts[-1] not in target:
             raise ManifestError(f"unknown override field: {key!r}")
-        target[parts[-1]] = value
+        target[parts[-1]] = _override_value(key, raw)
     return parse_manifest(json.dumps(obj))
 
 

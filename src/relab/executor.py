@@ -21,10 +21,10 @@ Two backends share one contract:
 A stage whose command is the default ``python3 -m relab.refpipe`` may
 instead run as a fork of a ``StageZygote``: one interpreter per
 scheduler ``execute`` call that imports the reference pipeline once, so
-a stage skips the interpreter start and the numpy import. A forked stage
-gets the same environment, working directory and log as a spawned one,
-and ``run_stage`` applies the same mount sweep, timeout and checks to
-it; a custom command or the container backend always spawns.
+a stage skips the interpreter start and every import it would make. A
+forked stage gets the same environment, working directory and log as a
+spawned one, and ``run_stage`` applies the same mount sweep, timeout and
+checks to it; a custom command or the container backend always spawns.
 
 Network denial under ``local_process`` is best-effort only (environment
 scrubbing, no kernel sandboxing); treat it as honest-but-unenforced.
@@ -38,6 +38,7 @@ digest lands in the result.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import select
@@ -80,6 +81,10 @@ _ZYGOTE_CODE = (
     "_zygote_main(int(sys.argv[1]))"
 )
 _REQUEST_BYTES = 1 << 20
+# what the zygote imports for every fork to share: the stage entry point
+# and the numpy modules that numpy loads only at first use, which each
+# stage kind reaches (a test derives the list by running the stages)
+ZYGOTE_PRELOAD = ("relab.refpipe", "numpy.ma", "numpy.random")
 
 
 class ExecutorError(ValueError):
@@ -583,8 +588,8 @@ class _StatusPipe:
 
 def _zygote_main(fd: int) -> None:
     """Zygote body: fork a stage per request on socket ``fd`` until EOF."""
-    from . import refpipe  # noqa: F401  the import every fork shares
-
+    for name in ZYGOTE_PRELOAD:
+        importlib.import_module(name)
     signal.signal(signal.SIGCHLD, signal.SIG_IGN)  # the kernel reaps forks
     with socket.socket(fileno=fd) as sock:
         sock.send(b"ready")

@@ -189,7 +189,18 @@ class CacheStore:
         path = self._entry_path(_require_digest(key, "cache key"))
         if not path.is_file():
             return None
-        return CacheEntry.from_json_obj(json.loads(path.read_text()))
+        return self._parse_entry(path, path.read_bytes())
+
+    @staticmethod
+    def _parse_entry(path: Path, data: bytes) -> CacheEntry:
+        """The entry in ``data``, read from ``path``; anything else is corrupt."""
+        try:
+            entry = CacheEntry.from_json_obj(json.loads(data))
+            if f"{entry.key}.json" == path.name:
+                return entry
+        except (ValueError, KeyError, TypeError):
+            pass
+        raise IntegrityError(f"cache entry corrupt on disk: {path}")
 
     def put_blob(self, data: bytes) -> str:
         digest = sha256_bytes(data)
@@ -241,10 +252,9 @@ class CacheStore:
                 created_at=_utc_now(),
                 size_bytes=size,
             )
-            stored = write_once(
-                self._entry_path(key), canonical_json_bytes(entry.to_json_obj())
-            )
-            entry = CacheEntry.from_json_obj(json.loads(stored))
+            path = self._entry_path(key)
+            stored = write_once(path, canonical_json_bytes(entry.to_json_obj()))
+            entry = self._parse_entry(path, stored)
         if entry.output_digests != dict(output_digests):
             raise IntegrityError(f"cache key {key} already bound to different outputs")
         return entry

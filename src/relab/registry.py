@@ -111,6 +111,9 @@ class DatasetSelector:
     def __post_init__(self):
         if self.kind not in SELECTOR_KINDS:
             raise RegistryError(f"unknown selector kind {self.kind!r}")
+        for name in ("course_id", "session_id"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise RegistryError(f"selector {name} must be a string")
         if self.kind == "single_session" and not (self.course_id and self.session_id):
             raise RegistryError("single_session selector needs course_id and session_id")
         if self.kind == "whole_course" and not self.course_id:

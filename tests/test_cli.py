@@ -21,7 +21,7 @@ from relab.manifest import (
     parse_manifest,
     render_manifest,
 )
-from relab.provenance import export_bundle
+from relab.provenance import IntegrityError, export_bundle
 
 SYNTH_CFG = {
     "num_courses": 1,
@@ -96,6 +96,19 @@ class TestSubmit:
                              "--manifest", bad)
         assert code == 1
         assert "submit failed" in err
+
+    @pytest.mark.parametrize("course_id", [7, ["a"]], ids=["number", "list"])
+    def test_selector_id_that_is_no_string_exits_1(
+        self, root, tmp_path, capsys, course_id
+    ):
+        doc = json.loads(make_manifest_text())
+        doc["dataset_selector"] = {"kind": "whole_course", "course_id": course_id}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = cli(capsys, "--root", root["state"], "submit",
+                           "--manifest", bad)
+        assert code == 1
+        assert "submit failed: selector course_id must be a string" in err
 
     def test_missing_manifest_file_exits_1(self, root, capsys):
         code, _, err = cli(capsys, "--root", root["state"], "submit",
@@ -182,6 +195,14 @@ class TestFork:
         forked = out.splitlines()[1].split()[1]
         assert HEX64.match(forked)
         assert forked != submitted["trial_id"]
+
+    def test_override_selects_a_course_by_its_text(self, root, submitted, capsys):
+        code, _, err = cli(capsys, "--root", root["state"], "fork",
+                           submitted["trial_id"], "--set",
+                           "dataset_selector.kind=whole_course",
+                           "--set", "dataset_selector.course_id=7")
+        assert code == 1
+        assert "unknown course '7'" in err
 
     def test_unknown_source_exits_1(self, root, capsys):
         code, _, err = cli(capsys, "--root", root["state"], "fork", "nope")
@@ -415,6 +436,29 @@ class TestSharedRoot:
         records = [json.loads(line) for line in lines]
         assert records[1]["trial_id"] == out.splitlines()[1].split()[1]
 
+    def test_truncated_cache_entry_fails_the_job_with_its_cause(
+        self, tmp_path, capsys
+    ):
+        state = tmp_path / "state"
+        build_root(state, tmp_path)
+        capsys.readouterr()
+        engine = Engine(state)
+        manifest = parse_manifest(make_manifest_text(scheme="holdout"))
+        first_id, _, _ = engine.run_job(manifest)
+        entry = min(engine.cache.entries_dir.iterdir())
+        entry.write_bytes(entry.read_bytes()[:-20])  # a writer cut short
+
+        cause = f"cache entry corrupt on disk: {entry}"
+        with pytest.raises(IntegrityError) as raised:
+            engine.run_job(manifest)
+        assert str(raised.value) == cause
+        jobs = engine.scheduler.jobs_dir.iterdir()
+        (job_dir,) = [d for d in jobs if d.name != first_id]
+        assert engine.scheduler.status(job_dir.name).phase == "failed"
+        events = (job_dir / "events.jsonl").read_text().splitlines()
+        errors = [e["error"] for e in map(json.loads, events) if e["event"] == "error"]
+        assert errors == [f"IntegrityError: {cause}"]
+
     def test_root_keeps_no_tmp_file_and_no_unended_log_line(self, tmp_path, capsys):
         state = tmp_path / "state"
         build_root(state, tmp_path)
@@ -449,6 +493,22 @@ class TestOverrides:
     def test_strings_pass_through(self):
         out = apply_overrides(self.manifest, ["experiment_name=renamed"])
         assert out.experiment_name == "renamed"
+
+    def test_names_and_selector_ids_keep_their_text(self):
+        out = apply_overrides(self.manifest, [
+            "experiment_name=1e3", "image_ref=true",
+            "dataset_selector.kind=single_session",
+            "dataset_selector.course_id=7", "dataset_selector.session_id=[1]",
+        ])
+        assert (out.experiment_name, out.image_ref) == ("1e3", "true")
+        assert out.dataset_selector == DatasetSelector(
+            kind="single_session", course_id="7", session_id="[1]"
+        )
+        back = apply_overrides(out, [
+            "dataset_selector.kind=all_courses",
+            "dataset_selector.course_id=null", "dataset_selector.session_id=null",
+        ])
+        assert back.dataset_selector == DatasetSelector(kind="all_courses")
 
     def test_dotted_path_reaches_nested_fields(self):
         out = apply_overrides(self.manifest, ["eval_config.k=3"])

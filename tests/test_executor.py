@@ -1,7 +1,9 @@
 """Tests for sandboxed stage execution."""
 
 import hashlib
+import json
 import os
+import shutil
 import signal
 import stat
 import sys
@@ -16,6 +18,7 @@ from relab.executor import (
     STATUS_POLICY_VIOLATION,
     STATUS_SUCCEEDED,
     STATUS_TIMEOUT,
+    ZYGOTE_PRELOAD,
     ExecutorBackend,
     ExecutorError,
     SandboxSpec,
@@ -27,7 +30,9 @@ from relab.executor import (
 )
 from relab.hashing import sha256_file
 from relab.manifest import DEFAULT_STAGE_COMMAND, StageSpec
+from relab.refpipe import Hyperparams
 from relab.registry import AccessPolicy
+from relab.synthdata import SynthConfig, generate_session
 
 
 def make_sandbox(tmp_path, **overrides):
@@ -467,6 +472,72 @@ class TestStageZygote:
         finally:
             zygote.close()
         assert [c[0] for c in spawned] == ["/bin/sh", "/bin/sh"]
+
+    def test_preload_holds_every_module_a_stage_imports(self, tmp_path, children):
+        # every run is a fresh interpreter that first imports what a zygote
+        # without the preload list would hold: relab.refpipe; it prints the
+        # modules that the preload list, or one stage, adds to that
+        script = (
+            "import importlib, json, sys\n"
+            "import relab.refpipe\n"
+            "before = set(sys.modules)\n"
+            "request = json.loads(sys.argv[1])\n"
+            "for name in request.get('preload', ()):\n"
+            "    importlib.import_module(name)\n"
+            "code = 0\n"
+            "if 'env' in request:\n"
+            "    code = relab.refpipe.run_stage_from_env(request['env'])\n"
+            "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
+        )
+
+        def run(request):
+            child = children.start(script, json.dumps(request))
+            return json.loads(children.finish(child))
+
+        folds = {"fold_count": 3, "fold_index": 1, "fold_seed": 5}
+        log = generate_session(SynthConfig(learners_per_session=40), 0, 0)
+        features = {
+            Path("sessions", log.session_id, n): ("extract", n)
+            for n in ("features.csv", "labels.csv")
+        }
+        inputs = {  # stage -> (params, {input path: (stage, its output)})
+            "extract": ({"feature_weeks": 2}, {}),
+            "train": (
+                dict(folds, hyperparams=Hyperparams(iterations=20).to_json_obj()),
+                features,
+            ),
+            "test": (
+                folds, {**features, Path("model/model.json"): ("train", "model.json")}
+            ),
+            "evaluate": (
+                {"course_id": "course000", "week": 2,
+                 "schemes": ["holdout", "cross_validation"]},
+                {Path("preds", d, "predictions.csv"): ("test", "predictions.csv")
+                 for d in ("holdout", "cv_fold_1")},
+            ),
+        }
+        added = {}
+        for stage, (params, files) in inputs.items():
+            data, out = tmp_path / stage / "data", tmp_path / stage / "out"
+            out.mkdir(parents=True)
+            if stage == "extract":
+                log.write_dir(data, course_id="course000")
+            for rel, (source, name) in files.items():
+                (data / rel).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy(tmp_path / source / "out" / name, data / rel)
+            (data / "params.json").write_text(json.dumps(params))
+            env = {
+                "STAGE": stage, "COURSE_ID": "course000", "SESSION_ID": log.session_id,
+                "SEED": "7", "DATA_DIR": str(data), "OUTPUT_DIR": str(out),
+                "SCRATCH_DIR": str(out),
+            }
+            code, added[stage] = run({"env": env})
+            assert code == 0, stage
+        assert added["extract"] and added["train"]  # numpy's lazy modules
+        _, preloaded = run({"preload": ZYGOTE_PRELOAD})
+        assert {s: sorted(set(m) - set(preloaded)) for s, m in added.items()} == {
+            s: [] for s in inputs
+        }
 
 
 class TestCollectOutputs:

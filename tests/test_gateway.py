@@ -85,6 +85,15 @@ class TestJobEndpoints:
             id="wrongly-typed-field",
         ),
         pytest.param(b'\xff{"experiment_name": "x"}', id="not-utf-8"),
+        *[
+            pytest.param(
+                json.dumps(dict(json.loads(manifest_text()), dataset_selector={
+                    "kind": "whole_course", "course_id": course_id,
+                })).encode(),
+                id=f"course-id-{name}",
+            )
+            for name, course_id in (("number", 7), ("list", ["a"]))
+        ],
     ])
     def test_malformed_body_is_400(self, gateway, body):
         response = requests.post(f"{gateway['base']}/jobs", data=body)

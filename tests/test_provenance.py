@@ -158,6 +158,29 @@ class TestCacheStore:
         with pytest.raises(IntegrityError, match="m.json"):
             store.put("cd" * 32, wrong, src)
 
+    def test_entry_that_does_not_parse_is_integrity_error(self, tmp_path):
+        store = CacheStore(tmp_path / "cache")
+        src, digests = self.make_outputs(tmp_path, {"m.json": b"data"})
+        key = "cd" * 32
+        store.put(key, digests, src)
+        path = store.entries_dir / f"{key}.json"
+        whole = path.read_bytes()
+        for torn in (whole[: len(whole) // 2], b"", b"[]", b'{"key": 1}'):
+            path.write_bytes(torn)
+            with pytest.raises(IntegrityError, match="cache entry corrupt on disk"):
+                store.get(key)
+            with pytest.raises(IntegrityError, match="cache entry corrupt on disk"):
+                store.put(key, digests, src)
+
+    def test_entry_for_another_key_is_integrity_error(self, tmp_path):
+        store = CacheStore(tmp_path / "cache")
+        src, digests = self.make_outputs(tmp_path, {"m.json": b"data"})
+        store.put("cd" * 32, digests, src)
+        moved = store.entries_dir / f"{'ef' * 32}.json"
+        (store.entries_dir / f"{'cd' * 32}.json").rename(moved)
+        with pytest.raises(IntegrityError, match=f"corrupt on disk: {moved}"):
+            store.get("ef" * 32)
+
     def test_materialize_restores_bytes(self, tmp_path):
         store = CacheStore(tmp_path / "cache")
         files = {"a.csv": b"1,2\n", "sub.json": b"{}"}

@@ -1,7 +1,14 @@
-"""In-memory study tests: shapes, determinism, config validation."""
+"""In-memory study tests: shapes, determinism, config validation, the fit pool."""
 
+import dataclasses
+import glob
+import multiprocessing
+import os
+
+import numpy as np
 import pytest
 
+from relab.refpipe import Hyperparams
 from relab.study import StudyConfig, course_pairs, run_study
 from relab.synthdata import SynthConfig
 
@@ -76,3 +83,44 @@ class TestRunStudy:
         assert 0.0 <= report.test.p_value <= 1.0
         assert len(report.per_week) == len(TINY.weeks)
 
+
+
+def child_pids():
+    """Pids of this process's children, read from every thread's list."""
+    pids = set()
+    for path in glob.glob(f"/proc/{os.getpid()}/task/*/children"):
+        with open(path) as fh:
+            pids.update(fh.read().split())
+    return pids
+
+
+# learning steps this large overflow the weights: every fit raises
+DIVERGING = dataclasses.replace(
+    TINY, hyperparams=Hyperparams(learning_rate=1e308, iterations=3)
+)
+
+
+class TestFitPool:
+    def test_one_worker_report_equals_the_pooled_one(self, monkeypatch):
+        pooled = run_study(TINY)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert run_study(TINY) == pooled
+        n = len(TINY.weeks)  # pairs come in course order
+        for c in range(TINY.synth.num_courses):
+            assert course_pairs(TINY, c) == pooled.pairs.pairs[c * n : (c + 1) * n]
+
+    def test_no_process_outlives_the_call(self):
+        before = child_pids()
+        run_study(TINY)
+        assert multiprocessing.active_children() == []
+        assert child_pids() <= before
+
+    @pytest.mark.parametrize("cpus", ["pooled", "one"])
+    def test_a_fit_that_raises_raises_from_run_study(self, monkeypatch, cpus):
+        if cpus == "one":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        before = child_pids()
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="diverged"):
+            run_study(DIVERGING)
+        assert multiprocessing.active_children() == []
+        assert child_pids() <= before
