@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -151,6 +152,9 @@ def cmd_submit(engine: Engine, args) -> int:
     except (OSError, ManifestError, SchedulerError) as exc:
         print(f"submit failed: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except ProvenanceError as exc:  # the job ran and failed on stored state
+        print(f"submit failed: {exc}", file=sys.stderr)
+        return EXIT_FAILED
     return _print_job_outcome(job_id, report, trial)
 
 
@@ -200,9 +204,7 @@ def apply_overrides(manifest: JobManifest, settings: List[str]) -> JobManifest:
     the plain string. Re-parsing the document enforces every manifest
     validity rule on the result.
     """
-    from .manifest import manifest_to_json_obj
-
-    obj = manifest_to_json_obj(manifest)
+    obj = asdict(manifest)
     for setting in settings:
         if "=" not in setting:
             raise ManifestError(f"override must be key=value: {setting!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -112,29 +112,9 @@ class BiasReport:
     pairs: PairedSample
 
     def to_json_obj(self) -> dict:
-        return {
-            "n_pairs": self.n_pairs,
-            "mean_bias": self.mean_bias,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-            "test": {
-                "statistic": self.test.statistic,
-                "n_effective": self.test.n_effective,
-                "p_value": self.test.p_value,
-                "method": self.test.method,
-            },
-            "per_week": [
-                {
-                    "week": w.week,
-                    "n_pairs": w.n_pairs,
-                    "mean_bias": w.mean_bias,
-                    "statistic": w.statistic,
-                    "p_value": w.p_value,
-                    "method": w.method,
-                }
-                for w in self.per_week
-            ],
-        }
+        obj = asdict(self)
+        del obj["pairs"]
+        return obj
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +243,6 @@ def _wilcoxon_normal_p(d: np.ndarray) -> float:
 
 def wilcoxon_signed_rank(
     diffs: Union[Sequence[float], PairedSample],
-    alternative: str = "two_sided",
 ) -> StatTestResult:
     """Two-sided Wilcoxon signed-rank test on paired differences.
 
@@ -273,8 +252,6 @@ def wilcoxon_signed_rank(
     the tie-corrected normal approximation with continuity correction.
     An empty effective sample yields statistic 0 and p-value 1.
     """
-    if alternative != "two_sided":
-        raise ValueError("only the two_sided alternative is supported")
     if isinstance(diffs, PairedSample):
         d = diffs.differences()
     else:
@@ -433,22 +410,8 @@ class EvalReport:
         return buf.getvalue()
 
     def to_json_obj(self) -> dict:
-        return {
-            "ci_level": self.ci_level,
-            "metadata": dict(self.metadata),
-            "rows": [
-                {
-                    "course_id": r.course_id,
-                    "week": r.week,
-                    "scheme": r.scheme,
-                    "auc": r.auc,
-                    "ci_lo": r.ci_lo,
-                    "ci_hi": r.ci_hi,
-                }
-                for r in self.rows
-            ],
-            "aggregate": None if self.aggregate is None else self.aggregate.to_json_obj(),
-        }
+        aggregate = None if self.aggregate is None else self.aggregate.to_json_obj()
+        return dict(asdict(self), aggregate=aggregate)
 
 
 def _fmt(value: Optional[float]) -> str:

@@ -7,15 +7,16 @@ window. Unknown fields are rejected rather than ignored so that two
 replications cannot silently diverge through typos or extensions.
 
 Canonical form (the bytes that get hashed into trial identity) is the
-fully-populated field tree serialized as sorted-key minified UTF-8 JSON;
-`canonicalize` is a pure function of field values, independent of how the
-source document was formatted.
+dataclass field tree (``dataclasses.asdict``, every default explicit)
+serialized as sorted-key minified UTF-8 JSON, so a field added to any
+manifest dataclass enters the digest; `canonicalize` is a pure function
+of field values, independent of how the source document was formatted.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Tuple
 
 from .evalstats import session_roles
@@ -44,6 +45,10 @@ def _require(obj: dict, key: str, where: str):
     if key not in obj:
         raise ManifestError(f"missing required field {key!r} in {where}")
     return obj[key]
+
+
+def _field_names(cls) -> set:
+    return {f.name for f in fields(cls)}
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
@@ -85,6 +90,7 @@ class StageSpec:
     outputs: Tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "timeout", float(self.timeout))
         if self.name not in STAGE_ORDER:
             raise ManifestError(f"unknown stage name {self.name!r}")
         if self.timeout <= 0:
@@ -177,20 +183,20 @@ def _parse_stage(obj: dict, index: int) -> StageSpec:
     where = f"stages[{index}]"
     if not isinstance(obj, dict):
         raise ManifestError(f"{where} must be an object")
-    _reject_unknown(obj, {"name", "command", "timeout", "outputs"}, where)
+    _reject_unknown(obj, _field_names(StageSpec), where)
     name = _typed(_require(obj, "name", where), str, f"{where}.name", "a string")
     command = _strings(obj.get("command", DEFAULT_STAGE_COMMAND), f"{where}.command")
     timeout = _typed(obj.get("timeout", DEFAULT_STAGE_TIMEOUT), (int, float),
                      f"{where}.timeout", "a number")
     outputs = _strings(obj.get("outputs", DEFAULT_STAGE_OUTPUTS.get(name, ())),
                        f"{where}.outputs")
-    return StageSpec(name=name, command=command, timeout=float(timeout), outputs=outputs)
+    return StageSpec(name=name, command=command, timeout=timeout, outputs=outputs)
 
 
 def _parse_selector(obj: dict) -> DatasetSelector:
     if not isinstance(obj, dict):
         raise ManifestError("dataset_selector must be an object")
-    _reject_unknown(obj, {"kind", "course_id", "session_id"}, "dataset_selector")
+    _reject_unknown(obj, _field_names(DatasetSelector), "dataset_selector")
     try:
         return DatasetSelector.from_json_obj(obj)
     except RegistryError as exc:
@@ -200,9 +206,7 @@ def _parse_selector(obj: dict) -> DatasetSelector:
 def _parse_eval(obj: dict) -> EvalConfig:
     if not isinstance(obj, dict):
         raise ManifestError("eval_config must be an object")
-    _reject_unknown(
-        obj, {"scheme", "k", "metric", "ci_level", "cv_pooling"}, "eval_config"
-    )
+    _reject_unknown(obj, _field_names(EvalConfig), "eval_config")
     ci_level = _typed(obj.get("ci_level", 0.95), (int, float),
                       "eval_config.ci_level", "a number")
     return EvalConfig(
@@ -229,19 +233,7 @@ def parse_manifest(text: str) -> JobManifest:
         ) from exc
     if not isinstance(obj, dict):
         raise ManifestError("manifest must be a JSON object")
-    _reject_unknown(
-        obj,
-        {
-            "experiment_name",
-            "image_ref",
-            "stages",
-            "dataset_selector",
-            "eval_config",
-            "seed",
-            "feature_weeks",
-        },
-        "manifest",
-    )
+    _reject_unknown(obj, _field_names(JobManifest), "manifest")
     stages_obj = _require(obj, "stages", "manifest")
     if not isinstance(stages_obj, list) or len(stages_obj) != 4:
         raise ManifestError("stages must be a list of exactly 4 entries")
@@ -257,41 +249,14 @@ def parse_manifest(text: str) -> JobManifest:
     )
 
 
-def manifest_to_json_obj(m: JobManifest) -> dict:
-    """Fully materialized field tree (defaults explicit, no omissions)."""
-    return {
-        "experiment_name": m.experiment_name,
-        "image_ref": m.image_ref,
-        "seed": m.seed,
-        "feature_weeks": m.feature_weeks,
-        "stages": [
-            {
-                "name": s.name,
-                "command": list(s.command),
-                "timeout": float(s.timeout),
-                "outputs": list(s.outputs),
-            }
-            for s in m.stages
-        ],
-        "dataset_selector": m.dataset_selector.to_json_obj(),
-        "eval_config": {
-            "scheme": m.eval_config.scheme,
-            "k": m.eval_config.k,
-            "metric": m.eval_config.metric,
-            "ci_level": m.eval_config.ci_level,
-            "cv_pooling": m.eval_config.cv_pooling,
-        },
-    }
-
-
 def render_manifest(m: JobManifest) -> str:
     """Human-readable document that parses back to an equal manifest."""
-    return json.dumps(manifest_to_json_obj(m), indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(m), indent=2, sort_keys=True) + "\n"
 
 
 def canonicalize(m: JobManifest) -> bytes:
     """Deterministic bytes for hashing: sorted keys, minified, UTF-8."""
-    return canonical_json_bytes(manifest_to_json_obj(m))
+    return canonical_json_bytes(asdict(m))
 
 
 def default_manifest(
@@ -402,7 +367,6 @@ __all__ = [
     "ValidationReport",
     "canonicalize",
     "default_manifest",
-    "manifest_to_json_obj",
     "parse_manifest",
     "render_manifest",
     "validate_manifest",

@@ -30,7 +30,7 @@ from __future__ import annotations
 import io
 import json
 import tarfile
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Sequence, Tuple
@@ -146,23 +146,6 @@ class CacheEntry:
     def __post_init__(self):
         object.__setattr__(self, "output_digests", dict(self.output_digests))
 
-    def to_json_obj(self) -> dict:
-        return {
-            "key": self.key,
-            "output_digests": dict(sorted(self.output_digests.items())),
-            "created_at": self.created_at,
-            "size_bytes": self.size_bytes,
-        }
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "CacheEntry":
-        return CacheEntry(
-            key=obj["key"],
-            output_digests=dict(obj["output_digests"]),
-            created_at=obj["created_at"],
-            size_bytes=int(obj["size_bytes"]),
-        )
-
 
 class CacheStore:
     """Entries under ``entries/<key>.json``, bytes under ``blobs/xx/<digest>``.
@@ -195,10 +178,10 @@ class CacheStore:
     def _parse_entry(path: Path, data: bytes) -> CacheEntry:
         """The entry in ``data``, read from ``path``; anything else is corrupt."""
         try:
-            entry = CacheEntry.from_json_obj(json.loads(data))
+            entry = CacheEntry(**json.loads(data))
             if f"{entry.key}.json" == path.name:
                 return entry
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, TypeError):
             pass
         raise IntegrityError(f"cache entry corrupt on disk: {path}")
 
@@ -253,7 +236,7 @@ class CacheStore:
                 size_bytes=size,
             )
             path = self._entry_path(key)
-            stored = write_once(path, canonical_json_bytes(entry.to_json_obj()))
+            stored = write_once(path, canonical_json_bytes(asdict(entry)))
             entry = self._parse_entry(path, stored)
         if entry.output_digests != dict(output_digests):
             raise IntegrityError(f"cache key {key} already bound to different outputs")
@@ -295,41 +278,10 @@ class TrialRecord:
         )
 
     def content_fields(self) -> dict:
-        """Everything that must agree across records with the same id."""
-        return {
-            "trial_id": self.trial_id,
-            "manifest_digest": self.manifest_digest,
-            "image_ref": self.image_ref,
-            "data_digests": list(self.data_digests),
-            "stage_digests": {
-                u: dict(sorted(m.items()))
-                for u, m in sorted(self.stage_digests.items())
-            },
-            "eval_digest": self.eval_digest,
-            "engine_version": self.engine_version,
-        }
-
-    def to_json_obj(self) -> dict:
-        obj = self.content_fields()
-        obj["created_at"] = self.created_at
-        obj["parent_trial_id"] = self.parent_trial_id
+        """Every field but the metadata, which may differ under one id."""
+        obj = asdict(self)
+        del obj["created_at"], obj["parent_trial_id"]
         return obj
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "TrialRecord":
-        return TrialRecord(
-            trial_id=obj["trial_id"],
-            manifest_digest=obj["manifest_digest"],
-            image_ref=obj["image_ref"],
-            data_digests=tuple(obj["data_digests"]),
-            stage_digests={
-                u: dict(m) for u, m in obj["stage_digests"].items()
-            },
-            eval_digest=obj["eval_digest"],
-            engine_version=obj["engine_version"],
-            created_at=obj["created_at"],
-            parent_trial_id=obj["parent_trial_id"],
-        )
 
 
 class TrialLedger:
@@ -359,14 +311,14 @@ class TrialLedger:
         """The stored records in append order; the first one per id wins."""
         by_id: Dict[str, TrialRecord] = {}
         for obj in read_jsonl(self.path):
-            by_id.setdefault(obj["trial_id"], TrialRecord.from_json_obj(obj))
+            by_id.setdefault(obj["trial_id"], TrialRecord(**obj))
         return tuple(by_id.values())
 
     def append(self, record: TrialRecord) -> TrialRecord:
         if record.parent_trial_id is not None:
             _require_digest(record.parent_trial_id, "parent_trial_id")
-        stored = TrialRecord.from_json_obj(
-            append_jsonl(self.path, record.to_json_obj(), unique="trial_id")
+        stored = TrialRecord(
+            **append_jsonl(self.path, asdict(record), unique="trial_id")
         )
         if stored.content_fields() != record.content_fields():
             raise IntegrityError(
@@ -453,7 +405,7 @@ def export_bundle(
         raise IntegrityError("stored manifest does not match trial record")
 
     files = {
-        BUNDLE_TRIAL_NAME: canonical_json_bytes(record.to_json_obj()),
+        BUNDLE_TRIAL_NAME: canonical_json_bytes(asdict(record)),
         BUNDLE_MANIFEST_NAME: render_manifest(manifest).encode("utf-8"),
         BUNDLE_CANONICAL_NAME: canonical,
     }
@@ -491,7 +443,8 @@ def import_bundle(
     ``parent_trial_id`` equal to the bundled trial id, marking it as
     imported. Importing into a store that already has the trial returns
     the existing record unchanged. A file that is no tar archive, or whose
-    trial.json is no object with the record's fields, is an integrity error.
+    trial.json is no object with exactly the record's fields, is an
+    integrity error.
     """
     src = Path(src)
     members: Dict[str, bytes] = {}
@@ -510,8 +463,8 @@ def import_bundle(
             raise IntegrityError(f"bundle missing {required}")
 
     try:
-        record = TrialRecord.from_json_obj(json.loads(members[BUNDLE_TRIAL_NAME]))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        record = TrialRecord(**json.loads(members[BUNDLE_TRIAL_NAME]))
+    except (ValueError, TypeError, AttributeError) as exc:
         raise IntegrityError(
             f"{BUNDLE_TRIAL_NAME} is not a trial record: {exc!r}"
         ) from None

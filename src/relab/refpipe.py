@@ -22,7 +22,7 @@ import datetime as dt
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -403,11 +403,7 @@ class Hyperparams:
             raise ValueError("l2_penalty must be non-negative")
 
     def to_json_obj(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "iterations": self.iterations,
-            "l2_penalty": self.l2_penalty,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Hyperparams":

@@ -121,13 +121,6 @@ class DatasetSelector:
         if self.kind == "all_courses" and (self.course_id or self.session_id):
             raise RegistryError("all_courses selector takes no ids")
 
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "course_id": self.course_id,
-            "session_id": self.session_id,
-        }
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DatasetSelector":
         return cls(

@@ -459,6 +459,22 @@ class TestSharedRoot:
         errors = [e["error"] for e in map(json.loads, events) if e["event"] == "error"]
         assert errors == [f"IntegrityError: {cause}"]
 
+    def test_submit_over_a_truncated_cache_entry_exits_3(self, tmp_path, capsys):
+        state = tmp_path / "state"
+        build_root(state, tmp_path)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(make_manifest_text(scheme="holdout"))
+        capsys.readouterr()
+        code, _, _ = cli(capsys, "--root", state, "submit", "--manifest", manifest)
+        assert code == 0
+        entry = min((state / "engine" / "cache" / "entries").glob("*.json"))
+        entry.write_bytes(entry.read_bytes()[:-20])
+
+        code, _, err = cli(capsys, "--root", state, "submit", "--manifest", manifest)
+        assert code == 3
+        assert f"submit failed: cache entry corrupt on disk: {entry}" in err
+        assert "Traceback" not in err
+
     def test_root_keeps_no_tmp_file_and_no_unended_log_line(self, tmp_path, capsys):
         state = tmp_path / "state"
         build_root(state, tmp_path)

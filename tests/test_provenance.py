@@ -1,6 +1,7 @@
 """Tests for the artifact cache, trial ledger, and fork bundles."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -633,14 +634,28 @@ class TestBundles:
                 CacheStore(tmp_path / "c2"),
             )
 
+    def test_trial_json_with_an_unknown_field_rejected(self, tmp_path):
+        cache, ledger, record = self.setup_trial(tmp_path)
+        bundle, _ = export_bundle(ledger, cache, record.trial_id, tmp_path / "b.tar")
+        extended = tmp_path / "extended.tar"
+        with tarfile.open(bundle) as src, tarfile.open(extended, "w") as dst:
+            for info in src.getmembers():
+                data = src.extractfile(info).read()
+                if info.name == "trial.json":
+                    data = json.dumps(dict(json.loads(data), note="x")).encode()
+                    info.size = len(data)
+                dst.addfile(info, io.BytesIO(data))
+        ledger2 = TrialLedger(tmp_path / "l2.jsonl")
+        with pytest.raises(IntegrityError, match="trial.json is not a trial record"):
+            import_bundle(extended, ledger2, CacheStore(tmp_path / "c2"))
+        assert ledger2.records() == ()
+
     def test_unsafe_member_rejected(self, tmp_path):
         evil = tmp_path / "evil.tar"
         with tarfile.open(evil, "w") as tar:
             info = tarfile.TarInfo(name="../escape.txt")
             data = b"x"
             info.size = len(data)
-            import io
-
             tar.addfile(info, io.BytesIO(data))
         with pytest.raises(IntegrityError, match="unsafe"):
             import_bundle(
