@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -183,12 +184,14 @@ def cmd_results(engine: Engine, args) -> int:
 
 # fields whose override value is the raw text, never its JSON reading, so
 # that course "7" stays "7"; a selector id still clears with "null"
-_TEXT_OVERRIDES = ("experiment_name", "image_ref")
+_TEXT_OVERRIDES = ("experiment_name", "image_ref", "stages.<i>.name")
 _ID_OVERRIDES = ("dataset_selector.course_id", "dataset_selector.session_id")
+_STAGE_INDEX = re.compile(r"^stages\.[0-9]+\.")
 
 
 def _override_value(key: str, raw: str):
-    if key in _TEXT_OVERRIDES or (key in _ID_OVERRIDES and raw != "null"):
+    field = _STAGE_INDEX.sub("stages.<i>.", key)
+    if field in _TEXT_OVERRIDES or (field in _ID_OVERRIDES and raw != "null"):
         return raw
     try:
         return json.loads(raw)
@@ -201,8 +204,9 @@ def apply_overrides(manifest: JobManifest, settings: List[str]) -> JobManifest:
 
     Values parse as JSON when possible (numbers, booleans, lists) and
     fall back to plain strings; the names and selector ids always take
-    the plain string. Re-parsing the document enforces every manifest
-    validity rule on the result.
+    the plain string. A decimal segment indexes a list, so
+    ``stages.1.timeout=5`` sets the second stage's timeout. Re-parsing the
+    document enforces every manifest validity rule on the result.
     """
     obj = asdict(manifest)
     for setting in settings:
@@ -212,10 +216,14 @@ def apply_overrides(manifest: JobManifest, settings: List[str]) -> JobManifest:
         target = obj
         parts = key.split(".")
         for part in parts[:-1]:
-            if not isinstance(target.get(part), dict):
+            if isinstance(target, tuple):
+                in_range = part.isascii() and part.isdigit() and int(part) < len(target)
+                target = target[int(part)] if in_range else None
+            else:
+                target = target.get(part)
+            if not isinstance(target, (dict, tuple)):
                 raise ManifestError(f"unknown override path: {key!r}")
-            target = target[part]
-        if parts[-1] not in target:
+        if not isinstance(target, dict) or parts[-1] not in target:
             raise ManifestError(f"unknown override field: {key!r}")
         target[parts[-1]] = _override_value(key, raw)
     return parse_manifest(json.dumps(obj))

@@ -481,11 +481,17 @@ def train_logreg(
     y: np.ndarray,
     hp: Optional[Hyperparams] = None,
     seed: int = 0,
+    trace: bool = True,
 ) -> ModelParams:
     """Full-batch gradient descent from zero init; deterministic.
 
     X must already be standardized by the caller. A single-class y yields a
     bias-only model at the (clipped) class prior, flagged degenerate.
+
+    With ``trace=False`` the per-iteration loss is not computed and the
+    model's ``loss_trace`` is ``()``. The descent step reads only the
+    gradient, never the loss, so the weights and bias are bit-identical to
+    a traced fit's.
     """
     hp = hp or Hyperparams()
     X = np.asarray(X, dtype=float)
@@ -499,31 +505,34 @@ def train_logreg(
         prior = float(np.clip(y.mean(), 1.0 / (n + 1), n / (n + 1.0)))
         bias = float(np.log(prior / (1.0 - prior)))
         weights = np.zeros(d)
-        trace = (logistic_loss(X, y, weights, bias, hp.l2_penalty),)
         return ModelParams(
             weights=weights,
             bias=bias,
             hyperparams=hp,
             seed=seed,
-            loss_trace=trace,
+            loss_trace=(
+                (logistic_loss(X, y, weights, bias, hp.l2_penalty),) if trace else ()
+            ),
             degenerate=True,
         )
     weights = np.zeros(d)
     bias = 0.0
-    trace = []
+    losses = []
     # one forward pass per iteration serves both the loss trace and the
     # gradient; formulas match logistic_loss / logistic_gradient exactly
     for _ in range(hp.iterations):
         z = X @ weights + bias
-        ce = np.logaddexp(0.0, z) - y * z
-        penalty = 0.5 * hp.l2_penalty * float(weights @ weights)
-        trace.append(float(np.add.reduce(ce) / n + penalty))
+        if trace:
+            ce = np.logaddexp(0.0, z) - y * z
+            penalty = 0.5 * hp.l2_penalty * float(weights @ weights)
+            losses.append(float(np.add.reduce(ce) / n + penalty))
         residual = _sigmoid(z) - y
         grad_w = X.T @ residual / n + hp.l2_penalty * weights
         grad_b = float(np.add.reduce(residual) / n)
         weights = weights - hp.learning_rate * grad_w
         bias = bias - hp.learning_rate * grad_b
-    trace.append(logistic_loss(X, y, weights, bias, hp.l2_penalty))
+    if trace:
+        losses.append(logistic_loss(X, y, weights, bias, hp.l2_penalty))
     if not (np.isfinite(weights).all() and np.isfinite(bias)):
         raise ValueError("training diverged to non-finite parameters")
     return ModelParams(
@@ -531,7 +540,7 @@ def train_logreg(
         bias=bias,
         hyperparams=hp,
         seed=seed,
-        loss_trace=tuple(trace),
+        loss_trace=tuple(losses),
         degenerate=False,
     )
 

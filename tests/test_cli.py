@@ -21,7 +21,7 @@ from relab.manifest import (
     parse_manifest,
     render_manifest,
 )
-from relab.provenance import IntegrityError, export_bundle
+from relab.provenance import IntegrityError, export_bundle, manifest_for_trial
 
 SYNTH_CFG = {
     "num_courses": 1,
@@ -195,6 +195,17 @@ class TestFork:
         forked = out.splitlines()[1].split()[1]
         assert HEX64.match(forked)
         assert forked != submitted["trial_id"]
+
+    def test_override_reaches_a_stage_field(self, root, submitted, capsys):
+        code, out, _ = cli(capsys, "--root", root["state"], "fork",
+                           submitted["trial_id"], "--set", "stages.1.timeout=5")
+        assert code == 0
+        forked = out.splitlines()[1].split()[1]
+        assert HEX64.match(forked)
+        assert forked != submitted["trial_id"]
+        engine = Engine(root["state"])
+        manifest = manifest_for_trial(engine.ledger.get(forked), engine.cache)
+        assert [s.timeout for s in manifest.stages] == [600.0, 5.0, 600.0, 600.0]
 
     def test_override_selects_a_course_by_its_text(self, root, submitted, capsys):
         code, _, err = cli(capsys, "--root", root["state"], "fork",
@@ -529,6 +540,28 @@ class TestOverrides:
     def test_dotted_path_reaches_nested_fields(self):
         out = apply_overrides(self.manifest, ["eval_config.k=3"])
         assert out.eval_config.k == 3
+
+    def test_numeric_segment_indexes_the_stages(self):
+        out = apply_overrides(self.manifest, [
+            "stages.1.timeout=5", "stages.3.command=[\"python3\", \"x.py\"]",
+        ])
+        assert [s.timeout for s in out.stages] == [600.0, 5.0, 600.0, 600.0]
+        assert out.stages[3].command == ("python3", "x.py")
+
+    @pytest.mark.parametrize("key", [
+        "stages.4.timeout", "stages.-1.timeout", "stages.x.timeout",
+        "stages.1.outputs.0.x", "stages.1.timeout.x",
+    ])
+    def test_bad_stage_path_rejected(self, key):
+        with pytest.raises(ManifestError, match="unknown override path"):
+            apply_overrides(self.manifest, [f"{key}=5"])
+
+    def test_stage_name_keeps_its_text(self):
+        # read as JSON, 1e3 would become 1000.0; as text it names no stage
+        with pytest.raises(ManifestError, match="unknown stage name '1e3'"):
+            apply_overrides(self.manifest, ["stages.0.name=1e3"])
+        out = apply_overrides(self.manifest, ["stages.0.name=extract"])
+        assert out == self.manifest
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ManifestError, match="unknown override field"):

@@ -426,6 +426,12 @@ class TestLogisticModel:
         assert (model.weights == 0).all()
         # clipped prior 4/5 -> bias = log(4)
         assert model.bias == pytest.approx(np.log(4.0))
+        assert len(model.loss_trace) == 1
+        untraced = train_logreg(X, y, trace=False)
+        assert untraced.degenerate
+        assert untraced.bias == model.bias
+        assert untraced.weights.tobytes() == model.weights.tobytes()
+        assert untraced.loss_trace == ()
 
     def test_training_deterministic(self):
         rng = np.random.default_rng(10)
@@ -527,6 +533,12 @@ class TestKernelGolden:
         assert _sha256(model_bytes) == self.MODEL_SHA[shape]
         X_new, _ = _golden_problem(sum(shape) + 1, 300, shape[1])
         assert _sha256(predict(model, X_new).tobytes()) == self.PREDICT_SHA[shape]
+        # the descent never reads the loss, so skipping the trace keeps the fit
+        untraced = train_logreg(X, y, trace=False)
+        assert untraced.loss_trace == ()
+        assert untraced.weights.tobytes() == model.weights.tobytes()
+        assert untraced.bias == model.bias
+        assert _sha256(predict(untraced, X_new).tobytes()) == self.PREDICT_SHA[shape]
 
     def test_sigmoid_bytes_match_masked_formula(self):
         special = np.array(

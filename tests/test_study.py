@@ -2,14 +2,18 @@
 
 import dataclasses
 import glob
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from relab.refpipe import Hyperparams
-from relab.study import StudyConfig, course_pairs, run_study
+from relab.study import StudyConfig, course_pairs, default_study_synth, run_study
 from relab.synthdata import SynthConfig
 
 TINY = StudyConfig(
@@ -124,3 +128,27 @@ class TestFitPool:
             run_study(DIVERGING)
         assert multiprocessing.active_children() == []
         assert child_pids() <= before
+
+
+class TestBiasStudyScript:
+    def test_artifacts_match_run_study(self, tmp_path):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "cv_bias_study.py"
+        out = tmp_path / "study"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--courses", "2", "--learners", "200",
+             "--weeks", "1,2", "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        synth = dataclasses.replace(
+            default_study_synth(), num_courses=2, learners_per_session=200
+        )
+        report = run_study(StudyConfig(synth=synth, weeks=(1, 2)))
+        rows = (out / "pairs.csv").read_text().splitlines()
+        assert rows[0] == "course_id,week,holdout_auc,cv_auc"
+        assert [row.split(",") for row in rows[1:]] == [
+            [p.course_id, str(p.week), repr(p.holdout_auc), repr(p.cv_auc)]
+            for p in report.pairs.pairs
+        ]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary == json.loads(json.dumps(report.to_json_obj()))
