@@ -12,11 +12,16 @@ Example:
 """
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)
+# stages run in their own processes, which find relab through PYTHONPATH
+_prior = os.environ.get("PYTHONPATH")
+os.environ["PYTHONPATH"] = SRC if _prior is None else SRC + os.pathsep + _prior
 
 from relab.cli import Engine, apply_overrides
 from relab.manifest import DatasetSelector, EvalConfig, default_manifest

@@ -1,17 +1,19 @@
 """Sandboxed execution of a single pipeline stage.
 
-Two backends share one contract:
+Two backends share one contract; a runtime command template selects
+the second:
 
 * ``local_process`` spawns a child process with a scrubbed environment,
   working directory inside a stage-private scratch tree, and a read-only
   data mount. Overwrites of mount files are blocked by file permissions;
   creations and deletions inside the mount succeed at the filesystem
   level (directories stay traversable) but are caught by a before/after
-  digest sweep and escalate the result to ``policy_violation``. File
-  modes do not bind root, so under root every mount mutation lands in
-  the sweep. Run the backend against a private copy of the data when
-  the caller cannot tolerate even transient mutation; the engine's
-  scheduler does exactly that.
+  sweep of every entry (a file by digest, a directory, a link by its
+  target, never followed) and escalate the result to
+  ``policy_violation``. File modes do not bind root, so under root every
+  mount mutation lands in the sweep. Run the backend against a private
+  copy of the data when the caller cannot tolerate even transient
+  mutation; the engine's scheduler does exactly that.
 * ``container_runtime`` shells out to any OCI-compatible runtime through
   an argument-vector template with ``{IMAGE}``, ``{DATA_MOUNT}`` and
   ``{OUTPUT_DIR}`` placeholders, each of which must appear exactly once.
@@ -25,6 +27,9 @@ a stage skips the interpreter start and every import it would make. A
 forked stage gets the same environment, working directory and log as a
 spawned one, and ``run_stage`` applies the same mount sweep, timeout and
 checks to it; a custom command or the container backend always spawns.
+
+A stage runs under its ``StageSpec`` timeout, and its declared outputs
+may total at most ``MAX_OUTPUT_BYTES``.
 
 Network denial under ``local_process`` is best-effort only (environment
 scrubbing, no kernel sandboxing); treat it as honest-but-unenforced.
@@ -44,6 +49,7 @@ import os
 import select
 import signal
 import socket
+import stat
 import subprocess
 import sys
 import threading
@@ -51,7 +57,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Dict, Mapping, Optional, Tuple
+from typing import BinaryIO, Dict, Iterator, Mapping, Optional, Tuple
 
 from .hashing import sha256_file
 from .manifest import DEFAULT_STAGE_COMMAND, StageSpec
@@ -71,7 +77,7 @@ TEMPLATE_PLACEHOLDERS = ("{IMAGE}", "{DATA_MOUNT}", "{OUTPUT_DIR}")
 TIMEOUT_GRACE_SECONDS = 5.0
 LOG_FILE_NAME = "_stage.log"
 
-DEFAULT_MAX_OUTPUT_BYTES = 64 * 1024 * 1024
+MAX_OUTPUT_BYTES = 64 * 1024 * 1024
 
 # the part of a stage's environment its interpreter reads at start-up,
 # which a zygote is launched with; every other key is the unit's own
@@ -101,14 +107,12 @@ def _is_subpath(a: Path, b: Path) -> bool:
 
 @dataclass(frozen=True)
 class SandboxSpec:
-    """Filesystem layout, environment, and limits for one stage run."""
+    """Filesystem layout and environment for one stage run."""
 
     data_mount: Path
     scratch_dir: Path
     output_dir: Path
     env: Mapping[str, str]
-    timeout: Optional[float] = None  # seconds; None defers to the stage spec
-    max_output_bytes: int = DEFAULT_MAX_OUTPUT_BYTES
     image_ref: str = ""  # used by container_runtime templates
 
     def __post_init__(self):
@@ -131,20 +135,15 @@ class SandboxSpec:
         missing = [k for k in REQUIRED_ENV_KEYS if k not in self.env]
         if missing:
             raise ExecutorError(f"sandbox env missing required keys: {missing}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ExecutorError("timeout must be positive when given")
-        if self.max_output_bytes <= 0:
-            raise ExecutorError("max_output_bytes must be positive")
 
 
 @dataclass(frozen=True)
 class ExecutorBackend:
-    kind: str = BACKEND_LOCAL
+    """Local processes without a runtime command template, a container with one."""
+
     runtime_command_template: Tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in (BACKEND_LOCAL, BACKEND_CONTAINER):
-            raise ExecutorError(f"unknown backend kind: {self.kind!r}")
         object.__setattr__(
             self, "runtime_command_template", tuple(self.runtime_command_template)
         )
@@ -155,8 +154,10 @@ class ExecutorBackend:
                     raise ExecutorError(
                         f"container template must contain {ph} exactly once"
                     )
-        elif self.runtime_command_template:
-            raise ExecutorError("local_process backend takes no command template")
+
+    @property
+    def kind(self) -> str:
+        return BACKEND_CONTAINER if self.runtime_command_template else BACKEND_LOCAL
 
 
 @dataclass(frozen=True)
@@ -219,28 +220,42 @@ def build_command(
     return tuple(prefix) + tuple(stage.command)
 
 
+def _mount_entries(mount: Path) -> Iterator[Tuple[Path, os.stat_result]]:
+    """Every entry under the mount with its ``lstat``; links are not followed."""
+    for top, dirs, files in os.walk(mount):
+        for name in dirs + files:
+            path = Path(top, name)
+            yield path, path.lstat()
+
+
 def _mount_snapshot(mount: Path) -> Dict[str, str]:
+    """Each mount entry: a regular file by digest, a link by its target."""
     snap = {}
-    for path in sorted(mount.rglob("*")):
-        if path.is_file():
-            snap[str(path.relative_to(mount))] = sha256_file(path)
+    for path, st in _mount_entries(mount):
+        if stat.S_ISREG(st.st_mode):
+            state = sha256_file(path)
+        elif stat.S_ISLNK(st.st_mode):
+            state = "link -> " + os.readlink(path)
+        else:  # a directory, fifo, socket or device: its type, never read
+            state = stat.filemode(st.st_mode)[0]
+        snap[str(path.relative_to(mount))] = state
     return snap
 
 
 def _protect_mount_files(mount: Path) -> Dict[Path, int]:
-    """chmod data files read-only; returns original modes for restore."""
+    """chmod regular data files read-only; returns original modes for restore."""
     original = {}
-    for path in sorted(mount.rglob("*")):
-        if path.is_file():
-            mode = path.stat().st_mode
-            original[path] = mode
+    for path, st in _mount_entries(mount):
+        if stat.S_ISREG(st.st_mode):
+            original[path] = st.st_mode
             path.chmod(0o444)
     return original
 
 
 def _restore_modes(original: Dict[Path, int]) -> None:
     for path, mode in original.items():
-        if path.exists():
+        # a stage may have put a link in a file's place; chmod would follow it
+        if not path.is_symlink() and path.exists():
             path.chmod(mode)
 
 
@@ -295,7 +310,6 @@ def run_stage(
         if not p.is_dir():
             raise ExecutorError(f"{name} does not exist: {p}")
 
-    timeout = sandbox.timeout if sandbox.timeout is not None else stage.timeout
     log_path = sandbox.scratch_dir / LOG_FILE_NAME
     command = build_command(stage, sandbox, backend)
     env = stage_environment(sandbox)
@@ -311,10 +325,10 @@ def run_stage(
         with open(log_path, "wb") as log:
             outcome = None
             if zygote is not None and _forkable(stage, backend):
-                outcome = zygote.run(sandbox.scratch_dir, env, log, timeout)
+                outcome = zygote.run(sandbox.scratch_dir, env, log, stage.timeout)
             if outcome is None:
                 outcome = _run_subprocess(
-                    command, sandbox.scratch_dir, env, log, timeout
+                    command, sandbox.scratch_dir, env, log, stage.timeout
                 )
         exit_code, timed_out, cause = outcome
     finally:
@@ -353,7 +367,7 @@ def run_stage(
             detail="data mount mutated: " + "; ".join(parts),
         )
     if timed_out:
-        return result(STATUS_TIMEOUT, detail=f"exceeded {timeout}s wall clock")
+        return result(STATUS_TIMEOUT, detail=f"exceeded {stage.timeout}s wall clock")
     if exit_code != 0:
         return result(STATUS_FAILED, detail=cause or f"exit code {exit_code}")
 
@@ -373,12 +387,12 @@ def run_stage(
             detail=f"missing output: {missing}",
             output_digests=digests,
         )
-    if total_bytes > sandbox.max_output_bytes:
+    if total_bytes > MAX_OUTPUT_BYTES:
         return result(
             STATUS_FAILED,
             detail=(
                 f"declared outputs total {total_bytes} bytes, "
-                f"limit {sandbox.max_output_bytes}"
+                f"limit {MAX_OUTPUT_BYTES}"
             ),
             output_digests=digests,
         )

@@ -3,8 +3,9 @@
 Endpoints, all JSON unless noted:
 
 * ``POST /jobs`` - body is a manifest document; responds ``202`` with
-  ``{"job_id": ...}`` and runs the job in a background thread, or
-  ``400`` when the body is not a valid manifest in UTF-8.
+  ``{"job_id": ...}`` and runs the job in a background thread with one
+  worker, or ``400`` when the body is not a valid manifest in UTF-8 or
+  its ``Content-Length`` is not a decimal byte count.
 * ``GET /jobs/{id}`` - job phase and unit states, ``404`` when unknown.
   Matches byte-for-byte with the command line ``status`` output.
 * ``GET /jobs/{id}/report`` - evaluation report of a terminal job
@@ -43,10 +44,9 @@ class Gateway(ThreadingHTTPServer):
 
     daemon_threads = True
 
-    def __init__(self, engine, address, parallelism: int = 1):
+    def __init__(self, engine, address):
         super().__init__(address, _Handler)
         self.engine = engine
-        self.parallelism = parallelism
         self._workers: set = set()  # job threads still running
 
     def launch(self, job_id: str, manifest: JobManifest) -> None:
@@ -58,7 +58,7 @@ class Gateway(ThreadingHTTPServer):
 
     def _run_job(self, job_id: str, manifest: JobManifest) -> None:
         try:
-            self.engine.finish_job(job_id, manifest, self.parallelism)
+            self.engine.finish_job(job_id, manifest)
         except Exception:  # finish_job logged the cause in the job's events
             pass
         finally:
@@ -101,8 +101,12 @@ class _Handler(BaseHTTPRequestHandler):
         if parts != ["jobs"]:
             self._send_json(404, {"error": f"no such endpoint: {self.path}"})
             return
-        length = int(self.headers.get("Content-Length", "0"))
-        body = self.rfile.read(length)
+        length = self.headers.get("Content-Length", "0")
+        if not length.isdecimal():  # int() takes "-1", which would read to EOF
+            self.close_connection = True  # the body was never read
+            self._send_json(400, {"error": f"bad Content-Length: {length!r}"})
+            return
+        body = self.rfile.read(int(length))
         try:
             manifest = parse_manifest(body.decode("utf-8"))
             job_id = self._engine().scheduler.submit(manifest)
@@ -167,9 +171,9 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
 
-def make_server(engine, host: str = "127.0.0.1", port: int = 0, parallelism: int = 1) -> Gateway:
+def make_server(engine, host: str = "127.0.0.1", port: int = 0) -> Gateway:
     """Bind and return the server without starting its accept loop."""
-    return Gateway(engine, (host, port), parallelism)
+    return Gateway(engine, (host, port))
 
 
 def serve(engine, host: str = "127.0.0.1", port: int = 8349) -> None:

@@ -302,39 +302,32 @@ def validate_manifest(m: JobManifest, registry: Registry) -> ValidationReport:
     violations = []
     warnings = []
     try:
-        pairs = registry.resolve_selector(m.dataset_selector)
+        courses = registry.resolve_selector(m.dataset_selector)
     except RegistryError as exc:
         return ValidationReport(violations=(str(exc),))
-    if not pairs:
+    if not courses:
         return ValidationReport(violations=("selector matches no sessions",))
 
-    by_course: dict = {}
-    for course_id, session_id in pairs:
-        by_course.setdefault(course_id, []).append(session_id)
-
     cfg = m.eval_config
-    for course_id, session_ids in sorted(by_course.items()):
-        course = registry.load_course(course_id)
-        # the selector lists a course's sessions in start-date order
+    for course in courses:
+        course_id, sessions = course.course_id, course.sessions
         try:
             _, _, cv_idx = session_roles(
-                len(session_ids), cfg.uses_holdout, cfg.uses_cv
+                len(sessions), cfg.uses_holdout, cfg.uses_cv
             )
         except ValueError as exc:
             violations.append(
-                f"{exc}; course {course_id!r} selects {len(session_ids)}"
+                f"{exc}; course {course_id!r} selects {len(sessions)}"
             )
             cv_idx = None
-        for session in course.sessions:
-            if session.session_id not in session_ids:
-                continue
+        for session in sessions:
             if m.feature_weeks >= session.num_weeks:
                 violations.append(
                     f"feature_weeks={m.feature_weeks} must be < num_weeks="
                     f"{session.num_weeks} for {course_id}/{session.session_id}"
                 )
         if cv_idx is not None:
-            cv_session = session_ids[cv_idx]
+            cv_session = sessions[cv_idx].session_id
             count = _learner_count(registry, course_id, cv_session)
             if count is not None and cfg.k > count:
                 warnings.append(

@@ -331,16 +331,16 @@ def record_trial(
     ledger: TrialLedger,
     report,
     manifest: JobManifest,
+    cache: CacheStore,
     parent_trial_id: Optional[str] = None,
-    cache: Optional[CacheStore] = None,
 ) -> TrialRecord:
     """Register a successful job's outcome under its content-derived id.
 
     ``report`` is any object exposing ``phase``, ``data_digests`` and
     ``entries`` (each entry with unit_id, stage, output_digests), which
-    is exactly what the scheduler's JobReport provides. Pass the cache
-    to also stash the canonical manifest bytes, which export_bundle
-    needs later.
+    is exactly what the scheduler's JobReport provides. The canonical
+    manifest bytes go into ``cache``, where ``export_bundle`` and a
+    fork find them later.
     """
     if report.phase != "succeeded":
         raise ProvenanceError(
@@ -348,8 +348,7 @@ def record_trial(
         )
     canonical = canonicalize(manifest)
     manifest_digest = sha256_bytes(canonical)
-    if cache is not None:
-        cache.put_blob(canonical)
+    cache.put_blob(canonical)
     stage_digests = {
         e.unit_id: dict(e.output_digests) for e in report.entries
     }

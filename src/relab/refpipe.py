@@ -453,27 +453,40 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
+def _loss_at(
+    z: np.ndarray, y: np.ndarray, weights: np.ndarray, l2_penalty: float
+) -> float:
+    """logistic_loss from the scores ``z = X @ weights + bias``."""
+    ce = np.logaddexp(0.0, z) - y * z
+    # np.add.reduce(x) / n is the sum and division ndarray.mean makes,
+    # without its Python-level wrapper
+    penalty = 0.5 * l2_penalty * float(weights @ weights)
+    return float(np.add.reduce(ce) / len(y) + penalty)
+
+
+def _gradient_at(
+    X: np.ndarray, z: np.ndarray, y: np.ndarray, weights: np.ndarray, l2_penalty: float
+):
+    """logistic_gradient from the scores ``z = X @ weights + bias``."""
+    n = len(y)
+    residual = _sigmoid(z) - y
+    grad_w = X.T @ residual / n + l2_penalty * weights
+    grad_b = float(np.add.reduce(residual) / n)
+    return grad_w, grad_b
+
+
 def logistic_loss(
     X: np.ndarray, y: np.ndarray, weights: np.ndarray, bias: float, l2_penalty: float
 ) -> float:
     """L2-regularized mean logistic loss; the bias is not penalized."""
-    z = X @ weights + bias
-    ce = np.logaddexp(0.0, z) - y * z
-    # np.add.reduce(x) / n is the sum and division ndarray.mean makes,
-    # without its Python-level wrapper; the training loop uses the same
-    penalty = 0.5 * l2_penalty * float(weights @ weights)
-    return float(np.add.reduce(ce) / len(y) + penalty)
+    return _loss_at(X @ weights + bias, y, weights, l2_penalty)
 
 
 def logistic_gradient(
     X: np.ndarray, y: np.ndarray, weights: np.ndarray, bias: float, l2_penalty: float
 ):
     """Gradient of logistic_loss wrt (weights, bias)."""
-    n = len(y)
-    residual = _sigmoid(X @ weights + bias) - y
-    grad_w = X.T @ residual / n + l2_penalty * weights
-    grad_b = float(np.add.reduce(residual) / n)
-    return grad_w, grad_b
+    return _gradient_at(X, X @ weights + bias, y, weights, l2_penalty)
 
 
 def train_logreg(
@@ -501,34 +514,18 @@ def train_logreg(
     if len(y) < 2:
         raise ValueError("training requires at least two rows")
     n, d = X.shape
-    if y.min() == y.max():
-        prior = float(np.clip(y.mean(), 1.0 / (n + 1), n / (n + 1.0)))
-        bias = float(np.log(prior / (1.0 - prior)))
-        weights = np.zeros(d)
-        return ModelParams(
-            weights=weights,
-            bias=bias,
-            hyperparams=hp,
-            seed=seed,
-            loss_trace=(
-                (logistic_loss(X, y, weights, bias, hp.l2_penalty),) if trace else ()
-            ),
-            degenerate=True,
-        )
     weights = np.zeros(d)
     bias = 0.0
+    degenerate = bool(y.min() == y.max())
+    if degenerate:
+        prior = float(np.clip(y.mean(), 1.0 / (n + 1), n / (n + 1.0)))
+        bias = float(np.log(prior / (1.0 - prior)))
     losses = []
-    # one forward pass per iteration serves both the loss trace and the
-    # gradient; formulas match logistic_loss / logistic_gradient exactly
-    for _ in range(hp.iterations):
-        z = X @ weights + bias
+    for _ in range(0 if degenerate else hp.iterations):
+        z = X @ weights + bias  # one forward pass serves the loss and gradient
         if trace:
-            ce = np.logaddexp(0.0, z) - y * z
-            penalty = 0.5 * hp.l2_penalty * float(weights @ weights)
-            losses.append(float(np.add.reduce(ce) / n + penalty))
-        residual = _sigmoid(z) - y
-        grad_w = X.T @ residual / n + hp.l2_penalty * weights
-        grad_b = float(np.add.reduce(residual) / n)
+            losses.append(_loss_at(z, y, weights, hp.l2_penalty))
+        grad_w, grad_b = _gradient_at(X, z, y, weights, hp.l2_penalty)
         weights = weights - hp.learning_rate * grad_w
         bias = bias - hp.learning_rate * grad_b
     if trace:
@@ -541,7 +538,7 @@ def train_logreg(
         hyperparams=hp,
         seed=seed,
         loss_trace=tuple(losses),
-        degenerate=False,
+        degenerate=degenerate,
     )
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import posixpath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import List, Mapping, Optional, Tuple
@@ -82,22 +82,16 @@ class Course:
 
 @dataclass(frozen=True)
 class AccessPolicy:
-    """Execute-against policy: read-only data, no network, bounded exports.
+    """Execute-against policy: which outputs may leave, and how many bytes.
 
-    The mount mode and network flag are constants of the model, not knobs;
-    constructing a policy that relaxes them is an error.
+    A read-only data mount and no network are constants of the model,
+    left to the executor; no policy relaxes them.
     """
 
     export_allowlist: Tuple[str, ...] = DEFAULT_EXPORT_ALLOWLIST
     max_export_bytes: int = DEFAULT_MAX_EXPORT_BYTES
-    data_mount_mode: str = "read-only"
-    network_allowed: bool = False
 
     def __post_init__(self):
-        if self.data_mount_mode != "read-only":
-            raise RegistryError("data mounts are always read-only")
-        if self.network_allowed:
-            raise RegistryError("stage network access is never allowed")
         if self.max_export_bytes <= 0:
             raise RegistryError("max_export_bytes must be positive")
 
@@ -355,25 +349,23 @@ class Registry:
             sessions=tuple(_session_from_json(s) for s in obj["sessions"]),
         )
 
-    def resolve_selector(self, selector: DatasetSelector) -> List[Tuple[str, str]]:
-        """Expand a selector into (course_id, session_id) pairs.
+    def resolve_selector(self, selector: DatasetSelector) -> List[Course]:
+        """Each selected course, holding only its selected sessions.
 
-        Deterministic: courses sort by id, sessions by start date (ties by
-        session id, though registered courses never have date ties).
+        Courses sort by id; sessions keep their stored order, which
+        ``register_course`` made start-date order. A course with no
+        sessions is left out.
         """
         if selector.kind == "single_session":
             course = self.load_course(selector.course_id)
-            return [(course.course_id, course.session(selector.session_id).session_id)]
+            session = course.session(selector.session_id)
+            return [replace(course, sessions=(session,))]
         if selector.kind == "whole_course":
             course_ids = [selector.course_id]
         else:
             course_ids = self.course_ids()
-        pairs = []
-        for course_id in course_ids:
-            course = self.load_course(course_id)
-            ordered = sorted(course.sessions, key=lambda s: (s.start_date, s.session_id))
-            pairs.extend((course.course_id, s.session_id) for s in ordered)
-        return pairs
+        courses = (self.load_course(course_id) for course_id in course_ids)
+        return [course for course in courses if course.sessions]
 
     def verify_course(self, course_id: str) -> None:
         """Recompute digests of every registered file; raise on drift."""

@@ -216,12 +216,9 @@ def plan_units(
     manifest: JobManifest, registry: Registry
 ) -> Tuple[Tuple[WorkUnit, ...], Tuple[str, ...]]:
     """Expand a manifest into work units plus the data digests they read."""
-    pairs = registry.resolve_selector(manifest.dataset_selector)
-    if not pairs:
+    courses = registry.resolve_selector(manifest.dataset_selector)
+    if not courses:
         raise SchedulerError("selector matches no sessions")
-    by_course: Dict[str, List[str]] = {}
-    for course_id, session_id in pairs:
-        by_course.setdefault(course_id, []).append(session_id)
 
     manifest_digest = sha256_bytes(canonicalize(manifest))
     seed = manifest.seed
@@ -256,10 +253,8 @@ def plan_units(
 
     use_holdout = manifest.eval_config.uses_holdout
     use_cv = manifest.eval_config.uses_cv
-    for course_id in sorted(by_course):
-        course = registry.load_course(course_id)
-        # course.sessions are stored in start-date order already
-        sessions = [s for s in course.sessions if s.session_id in by_course[course_id]]
+    for course in courses:
+        course_id, sessions = course.course_id, course.sessions
         try:
             train_idx, test_idx, cv_idx = session_roles(
                 len(sessions), use_holdout, use_cv

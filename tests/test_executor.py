@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import relab.executor as executor
 from relab.executor import (
     BACKEND_CONTAINER,
     STATUS_FAILED,
@@ -73,7 +74,6 @@ class TestSandboxSpec:
     def test_valid(self, tmp_path):
         sb = make_sandbox(tmp_path)
         assert sb.data_mount.is_dir()
-        assert sb.timeout is None
 
     def test_relative_path_rejected(self, tmp_path):
         with pytest.raises(ExecutorError, match="absolute"):
@@ -98,41 +98,25 @@ class TestSandboxSpec:
         with pytest.raises(ExecutorError, match=missing):
             make_sandbox(tmp_path, env=env)
 
-    def test_bad_limits_rejected(self, tmp_path):
-        with pytest.raises(ExecutorError, match="timeout"):
-            make_sandbox(tmp_path, timeout=0.0)
-        with pytest.raises(ExecutorError, match="max_output_bytes"):
-            make_sandbox(tmp_path, max_output_bytes=0)
-
 
 class TestExecutorBackend:
     def test_local_default(self):
         backend = ExecutorBackend()
         assert backend.kind == "local_process"
 
-    def test_local_rejects_template(self):
-        with pytest.raises(ExecutorError, match="template"):
-            ExecutorBackend(runtime_command_template=("docker", "run"))
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ExecutorError, match="kind"):
-            ExecutorBackend(kind="vm")
-
     @pytest.mark.parametrize(
         "template",
         [
             ("runner", "{IMAGE}", "{DATA_MOUNT}"),  # missing OUTPUT_DIR
             ("runner", "{IMAGE}", "{IMAGE}", "{DATA_MOUNT}", "{OUTPUT_DIR}"),
-            (),
         ],
     )
     def test_container_placeholder_counts(self, template):
         with pytest.raises(ExecutorError, match="exactly once"):
-            ExecutorBackend(kind=BACKEND_CONTAINER, runtime_command_template=template)
+            ExecutorBackend(runtime_command_template=template)
 
     def test_container_valid_template(self):
         backend = ExecutorBackend(
-            kind=BACKEND_CONTAINER,
             runtime_command_template=(
                 "runner",
                 "--image={IMAGE}",
@@ -147,7 +131,6 @@ class TestExecutorBackend:
     def test_build_command_substitution(self, tmp_path):
         sb = make_sandbox(tmp_path, image_ref="img:1")
         backend = ExecutorBackend(
-            kind=BACKEND_CONTAINER,
             runtime_command_template=(
                 "runner",
                 "--image={IMAGE}",
@@ -277,27 +260,69 @@ class TestRunStage:
         assert "b.csv" in result.detail
         assert list(result.output_digests) == ["a.csv"]
 
-    def test_output_size_limit(self, tmp_path):
-        sb = make_sandbox(tmp_path, max_output_bytes=4)
+    def test_output_size_limit(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(executor, "MAX_OUTPUT_BYTES", 4)
+        sb = make_sandbox(tmp_path)
         stage = sh_stage('printf hello > "$OUTPUT_DIR/a.csv"', outputs=["a.csv"])
         result = run_stage(stage, sb, BACKEND)
         assert result.status == STATUS_FAILED
         assert "limit 4" in result.detail
 
     def test_timeout_terminates(self, tmp_path):
-        sb = make_sandbox(tmp_path, timeout=0.5)
-        stage = sh_stage("sleep 30", outputs=["x.csv"])
+        sb = make_sandbox(tmp_path)
+        stage = sh_stage("sleep 30", outputs=["x.csv"], timeout=0.5)
         result = run_stage(stage, sb, BACKEND)
         assert result.status == STATUS_TIMEOUT
         assert result.duration < 10.0
 
-    def test_create_in_mount_is_policy_violation(self, tmp_path):
+    @pytest.mark.parametrize(
+        "create",
+        [
+            pytest.param('printf x > "$DATA_DIR/new.txt"', id="file"),
+            pytest.param('mkdir "$DATA_DIR/new.txt"', id="empty-dir"),
+            pytest.param('ln -s /nonexistent "$DATA_DIR/new.txt"', id="dangling-link"),
+            pytest.param('ln -s "$SCRATCH_DIR" "$DATA_DIR/new.txt"', id="link-to-dir"),
+        ],
+    )
+    def test_create_in_mount_is_policy_violation(self, tmp_path, create):
         sb = make_sandbox(tmp_path)
         (sb.data_mount / "a.csv").write_text("orig")
-        stage = sh_stage('printf x > "$DATA_DIR/new.txt"', outputs=(), name="evaluate")
+        result = run_stage(sh_stage(create, outputs=(), name="evaluate"), sb, BACKEND)
+        assert result.status == STATUS_POLICY_VIOLATION
+        assert "created ['new.txt']" in result.detail
+
+    def test_link_in_mount_is_not_followed_by_the_chmod(self, tmp_path):
+        outside = tmp_path / "outside.csv"
+        outside.write_text("x")
+        outside.chmod(0o600)
+        sb = make_sandbox(tmp_path)
+        (sb.data_mount / "link.csv").symlink_to(outside)
+        stage = sh_stage(
+            f'stat -c %a {outside} > "$OUTPUT_DIR/mode.csv"',
+            outputs=["mode.csv"],
+            name="evaluate",
+        )
+        result = run_stage(stage, sb, BACKEND)
+        assert result.status == STATUS_SUCCEEDED
+        assert (sb.output_dir / "mode.csv").read_text() == "600\n"
+
+    def test_link_swapped_for_a_file_is_modified_and_its_target_keeps_its_mode(
+        self, tmp_path
+    ):
+        outside = tmp_path / "outside.csv"
+        outside.write_text("x")
+        outside.chmod(0o600)
+        sb = make_sandbox(tmp_path)
+        (sb.data_mount / "a.csv").write_text("orig")
+        stage = sh_stage(
+            f'rm -f "$DATA_DIR/a.csv"; ln -s {outside} "$DATA_DIR/a.csv"',
+            outputs=(),
+            name="evaluate",
+        )
         result = run_stage(stage, sb, BACKEND)
         assert result.status == STATUS_POLICY_VIOLATION
-        assert "new.txt" in result.detail
+        assert "modified ['a.csv']" in result.detail
+        assert stat.S_IMODE(outside.stat().st_mode) == 0o600
 
     def test_delete_in_mount_is_policy_violation(self, tmp_path):
         sb = make_sandbox(tmp_path)
@@ -368,7 +393,6 @@ class TestRunStage:
             "os.execvp(sys.argv[4], sys.argv[4:])\n"
         )
         backend = ExecutorBackend(
-            kind=BACKEND_CONTAINER,
             runtime_command_template=(
                 sys.executable,
                 str(runner),
@@ -390,11 +414,11 @@ def zygote_children(zygote):
 
 
 class TestStageZygote:
-    def default_stage(self):
+    def default_stage(self, timeout=30.0):
         return StageSpec(
             name="extract",
             command=DEFAULT_STAGE_COMMAND,
-            timeout=30.0,
+            timeout=timeout,
             outputs=("features.csv", "labels.csv"),
         )
 
@@ -416,7 +440,7 @@ class TestStageZygote:
         zygote = StageZygote()
         try:
             # the first run starts the zygote; the second blocks opening a
-            # FIFO, which the mount sweep passes over as not a regular file
+            # FIFO, which the mount sweep records by its type without reading
             for name in ("warm", "hang"):
                 (tmp_path / name).mkdir()
             run_stage(
@@ -425,9 +449,9 @@ class TestStageZygote:
                 BACKEND,
                 zygote,
             )
-            sb = make_sandbox(tmp_path / "hang", timeout=0.2)
+            sb = make_sandbox(tmp_path / "hang")
             os.mkfifo(sb.data_mount / "params.json")
-            result = run_stage(self.default_stage(), sb, BACKEND, zygote)
+            result = run_stage(self.default_stage(timeout=0.2), sb, BACKEND, zygote)
             assert spawned == []
             assert result.status == STATUS_TIMEOUT
             assert result.exit_code == -signal.SIGTERM
@@ -445,7 +469,6 @@ class TestStageZygote:
     def test_custom_command_and_container_spawn(self, tmp_path, spawned):
         zygote = StageZygote()
         container = ExecutorBackend(
-            kind=BACKEND_CONTAINER,
             runtime_command_template=(
                 "/bin/sh", "-c", 'exit 0', "{IMAGE}", "{DATA_MOUNT}", "{OUTPUT_DIR}",
             ),

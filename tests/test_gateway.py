@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import socket
 import threading
 
 import pytest
@@ -99,6 +100,23 @@ class TestJobEndpoints:
         response = requests.post(f"{gateway['base']}/jobs", data=body)
         assert response.status_code == 400
         assert response.json()["error"]
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_400(self, gateway, length):
+        # a raw socket: an HTTP client would not send such a header; the
+        # timeout fails a server that waits for the body instead of hanging
+        port = gateway["server"].server_address[1]
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n{}"
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert "Content-Length" in json.loads(body)["error"]
 
     def test_unknown_job_is_404(self, gateway):
         assert requests.get(f"{gateway['base']}/jobs/job-999999").status_code == 404

@@ -375,7 +375,7 @@ class TestRecordTrial:
         ledger = TrialLedger(tmp_path / "ledger.jsonl")
         report = make_report(tmp_path, cache, phase="failed")
         with pytest.raises(ProvenanceError, match="succeeded"):
-            record_trial(ledger, report, make_manifest())
+            record_trial(ledger, report, make_manifest(), cache=cache)
 
     def test_seed_changes_trial_id(self, tmp_path):
         cache = CacheStore(tmp_path / "cache")

@@ -244,30 +244,37 @@ class TestRegisterCourse:
         assert not list(tmp_path.rglob("*.tmp"))
 
 
+def selected(courses):
+    return [(c.course_id, [s.session_id for s in c.sessions]) for c in courses]
+
+
 class TestResolveSelector:
     def test_whole_course_ordered_by_start_date(self, tmp_path):
         r = make_registry(tmp_path, BASIC)
-        pairs = r.resolve_selector(
+        courses = r.resolve_selector(
             DatasetSelector(kind="whole_course", course_id="course-a")
         )
-        assert pairs == [
-            ("course-a", "2013-spring"),
-            ("course-a", "2013-fall"),
-            ("course-a", "2014-spring"),
+        assert selected(courses) == [
+            ("course-a", ["2013-spring", "2013-fall", "2014-spring"])
         ]
+        assert courses == [r.load_course("course-a")]
 
     def test_single_session(self, tmp_path):
         r = make_registry(tmp_path, BASIC)
         sel = DatasetSelector(
             kind="single_session", course_id="course-a", session_id="2013-fall"
         )
-        assert r.resolve_selector(sel) == [("course-a", "2013-fall")]
+        (course,) = r.resolve_selector(sel)
+        assert selected([course]) == [("course-a", ["2013-fall"])]
+        assert course.sessions == (r.load_course("course-a").session("2013-fall"),)
 
     def test_all_courses(self, tmp_path):
         r = make_registry(tmp_path, BASIC)
-        pairs = r.resolve_selector(DatasetSelector(kind="all_courses"))
-        assert len(pairs) == 4
-        assert pairs[0][0] == "course-a" and pairs[-1][0] == "course-b"
+        courses = r.resolve_selector(DatasetSelector(kind="all_courses"))
+        assert selected(courses) == [
+            ("course-a", ["2013-spring", "2013-fall", "2014-spring"]),
+            ("course-b", ["2015-only"]),
+        ]
 
     def test_unknown_ids(self, tmp_path):
         r = make_registry(tmp_path, BASIC)
@@ -293,10 +300,6 @@ class TestResolveSelector:
 
 class TestAccessPolicy:
     def test_relaxations_rejected(self):
-        with pytest.raises(RegistryError):
-            AccessPolicy(data_mount_mode="read-write")
-        with pytest.raises(RegistryError):
-            AccessPolicy(network_allowed=True)
         with pytest.raises(RegistryError):
             AccessPolicy(max_export_bytes=0)
 

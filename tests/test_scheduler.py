@@ -21,6 +21,7 @@ from relab.manifest import (
     JobManifest,
     StageSpec,
     default_manifest,
+    validate_manifest,
 )
 from relab.registry import DatasetSelector, Registry
 from relab.scheduler import (
@@ -223,6 +224,24 @@ class TestPlanShapes:
                 expected.update(f.digest for f in session.data_files)
         assert set(digests) == expected
         assert list(digests) == sorted(digests)
+
+    def test_course_without_sessions_is_skipped(self, tmp_path):
+        registry = literal_registry(tmp_path / "with-empty")
+        registry.register_course({"course_id": "course-0", "sessions": []})
+        m = make_manifest("both", k=2)
+        assert validate_manifest(m, registry).violations == ()
+        assert plan_units(m, registry) == plan_units(
+            m, literal_registry(tmp_path / "without")
+        )
+        only_empty = make_manifest(
+            "both", k=2,
+            selector=DatasetSelector(kind="whole_course", course_id="course-0"),
+        )
+        assert validate_manifest(only_empty, registry).violations == (
+            "selector matches no sessions",
+        )
+        with pytest.raises(SchedulerError, match="matches no sessions"):
+            plan_units(only_empty, registry)
 
 
 def literal_registry(root):

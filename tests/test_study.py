@@ -152,3 +152,18 @@ class TestBiasStudyScript:
         ]
         summary = json.loads((out / "summary.json").read_text())
         assert summary == json.loads(json.dumps(report.to_json_obj()))
+
+
+class TestDemoScript:
+    def test_runs_from_a_plain_checkout(self, tmp_path):
+        # no PYTHONPATH and no installed package: the script alone must let
+        # its stage processes find relab
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_demo.py"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run(
+            [sys.executable, str(script), "--root", str(tmp_path / "demo")],
+            capture_output=True, text=True, timeout=300, env=env, cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "same trial: True" in proc.stdout
+        assert "24/24 cache hits" in proc.stdout
