@@ -112,6 +112,7 @@ class EvalConfig:
     cv_pooling: str = "pooled"
 
     def __post_init__(self):
+        object.__setattr__(self, "ci_level", float(self.ci_level))
         if self.scheme not in EVAL_SCHEMES:
             raise ManifestError(f"unknown eval scheme {self.scheme!r}")
         if self.metric != "auc":
@@ -207,15 +208,11 @@ def _parse_eval(obj: dict) -> EvalConfig:
     if not isinstance(obj, dict):
         raise ManifestError("eval_config must be an object")
     _reject_unknown(obj, _field_names(EvalConfig), "eval_config")
-    ci_level = _typed(obj.get("ci_level", 0.95), (int, float),
-                      "eval_config.ci_level", "a number")
-    return EvalConfig(
-        scheme=_require(obj, "scheme", "eval_config"),
-        k=_typed(obj.get("k"), (int, type(None)), "eval_config.k", "an integer"),
-        metric=obj.get("metric", "auc"),
-        ci_level=float(ci_level),
-        cv_pooling=obj.get("cv_pooling", "pooled"),
-    )
+    _require(obj, "scheme", "eval_config")
+    _typed(obj.get("k"), (int, type(None)), "eval_config.k", "an integer")
+    if "ci_level" in obj:
+        _typed(obj["ci_level"], (int, float), "eval_config.ci_level", "a number")
+    return EvalConfig(**obj)
 
 
 def parse_manifest(text: str) -> JobManifest:

@@ -402,13 +402,6 @@ class Hyperparams:
         if self.l2_penalty < 0:
             raise ValueError("l2_penalty must be non-negative")
 
-    def to_json_obj(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Hyperparams":
-        return cls(**obj)
-
 
 @dataclass
 class ModelParams:
@@ -422,25 +415,16 @@ class ModelParams:
     degenerate: bool = False
 
     def to_json_obj(self) -> dict:
-        return {
-            "weights": self.weights.tolist(),
-            "bias": self.bias,
-            "hyperparams": self.hyperparams.to_json_obj(),
-            "seed": self.seed,
-            "loss_trace": list(self.loss_trace),
-            "degenerate": self.degenerate,
-        }
+        return dict(asdict(self), weights=self.weights.tolist())
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ModelParams":
-        return cls(
+        return cls(**dict(
+            obj,
             weights=np.asarray(obj["weights"], dtype=float),
-            bias=float(obj["bias"]),
-            hyperparams=Hyperparams.from_json_obj(obj["hyperparams"]),
-            seed=int(obj["seed"]),
+            hyperparams=Hyperparams(**obj["hyperparams"]),
             loss_trace=tuple(obj["loss_trace"]),
-            degenerate=bool(obj["degenerate"]),
-        )
+        ))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -671,7 +655,7 @@ def _stage_train(data_dir: Path, output_dir: Path, params: dict, seed: int) -> N
     fold = _fold_mask(params, len(y))
     if fold is not None:
         X, y = X[~fold], y[~fold]
-    hp = Hyperparams.from_json_obj(params["hyperparams"])
+    hp = Hyperparams(**params["hyperparams"])
     std = Standardizer.fit(X)
     model = train_logreg(std.transform(X), y, hp, seed=seed)
     payload = {

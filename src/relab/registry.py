@@ -15,7 +15,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import posixpath
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import List, Mapping, Optional, Tuple
@@ -186,18 +186,6 @@ def check_export(
 # registry
 
 
-def _session_from_json(obj: dict) -> Session:
-    return Session(
-        session_id=obj["session_id"],
-        start_date=dt.date.fromisoformat(obj["start_date"]),
-        num_weeks=int(obj["num_weeks"]),
-        data_files=tuple(
-            DataFile(path=f["path"], digest=f["digest"], size=int(f["size"]))
-            for f in obj["data_files"]
-        ),
-    )
-
-
 def _entries(obj: dict, key: str, where: str) -> list:
     value = obj.get(key, [])
     if not isinstance(value, list):
@@ -205,13 +193,20 @@ def _entries(obj: dict, key: str, where: str) -> list:
     return value
 
 
+def _is_name(value: str) -> bool:
+    """Whether an id names one path component under its parent directory."""
+    return value not in ("", ".", "..") and "/" not in value and "\0" not in value
+
+
 def _id(obj: object, key: str, where: str) -> str:
-    """A non-empty string id from a descriptor object."""
+    """A string id from a descriptor object, one path component long."""
     if not isinstance(obj, dict):
         raise RegistryError(f"{where} must be an object")
     value = obj.get(key)
     if not value or not isinstance(value, str):
         raise RegistryError(f"{where} missing {key}")
+    if not _is_name(value):
+        raise RegistryError(f"{where}: {key} {value!r} must be one path component")
     return value
 
 
@@ -224,23 +219,22 @@ def check_file_digest(path: Path, registered: str, found: str) -> None:
         )
 
 
+def _iso_dates(items) -> dict:
+    return {k: v.isoformat() if isinstance(v, dt.date) else v for k, v in items}
+
+
 def _course_to_json(course: Course) -> dict:
-    return {
-        "course_id": course.course_id,
-        "platform_schema": course.platform_schema,
-        "sessions": [
-            {
-                "session_id": s.session_id,
-                "start_date": s.start_date.isoformat(),
-                "num_weeks": s.num_weeks,
-                "data_files": [
-                    {"path": f.path, "digest": f.digest, "size": f.size}
-                    for f in s.data_files
-                ],
-            }
-            for s in course.sessions
-        ],
-    }
+    """A course's index document: its fields, with start dates in ISO form."""
+    return asdict(course, dict_factory=_iso_dates)
+
+
+def _course_from_json(obj: dict) -> Course:
+    sessions = tuple(
+        Session(**dict(s, start_date=dt.date.fromisoformat(s["start_date"]),
+                       data_files=tuple(DataFile(**f) for f in s["data_files"])))
+        for s in obj["sessions"]
+    )
+    return Course(**dict(obj, sessions=sessions))
 
 
 class Registry:
@@ -340,14 +334,9 @@ class Registry:
 
     def load_course(self, course_id: str) -> Course:
         path = self._index_path(course_id)
-        if not path.exists():
+        if not (_is_name(course_id) and path.exists()):
             raise RegistryError(f"unknown course {course_id!r}")
-        obj = json.loads(path.read_text("utf-8"))
-        return Course(
-            course_id=obj["course_id"],
-            platform_schema=obj["platform_schema"],
-            sessions=tuple(_session_from_json(s) for s in obj["sessions"]),
-        )
+        return _course_from_json(json.loads(path.read_text("utf-8")))
 
     def resolve_selector(self, selector: DatasetSelector) -> List[Course]:
         """Each selected course, holding only its selected sessions.

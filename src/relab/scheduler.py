@@ -42,6 +42,7 @@ from __future__ import annotations
 import fcntl
 import heapq
 import json
+import re
 import shutil
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
@@ -78,6 +79,9 @@ UNIT_SKIPPED = "skipped"
 UNIT_CACHED = "cached"
 
 _SETTLED = (UNIT_DONE, UNIT_CACHED)
+
+# the names ``Scheduler._claim_job_dir`` gives jobs; no other name is a job
+_JOB_ID = re.compile(r"job-[0-9]+")
 
 # what a unit's report shows when no stage ran for it
 _NOT_RUN = StageResult(status="", exit_code=0, duration=0.0, log_digest="")
@@ -118,13 +122,6 @@ class WorkUnit:
     def sort_key(self):
         return (self.course_id, self.session_id, self.stage, self.unit_id)
 
-    def to_json_obj(self) -> dict:
-        return asdict(self)  # written only as canonical JSON: keys sorted
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "WorkUnit":
-        return WorkUnit(**obj)
-
 
 @dataclass(frozen=True)
 class JobState:
@@ -163,9 +160,6 @@ class UnitReport:
     duration: float = 0.0
     detail: str = ""
 
-    def to_json_obj(self) -> dict:
-        return asdict(self)  # written only as canonical JSON: keys sorted
-
 
 @dataclass(frozen=True)
 class JobReport:
@@ -177,9 +171,6 @@ class JobReport:
     eval_artifacts: Mapping[str, str]  # course_id -> metrics digest
     cache_hits: int
     wall_clock: float
-
-    def to_json_obj(self) -> dict:
-        return asdict(self)  # written only as canonical JSON: keys sorted
 
     def determinism_digest(self) -> str:
         """Digest of everything that must not vary across reruns.
@@ -222,7 +213,7 @@ def plan_units(
 
     manifest_digest = sha256_bytes(canonicalize(manifest))
     seed = manifest.seed
-    hyper = Hyperparams().to_json_obj()
+    hyper = asdict(Hyperparams())
     units: List[WorkUnit] = []
     data_digests = set()
 
@@ -370,7 +361,6 @@ class Scheduler:
         self,
         root: Path,
         registry: Registry,
-        cache: Optional[CacheStore] = None,
         backend: Optional[ExecutorBackend] = None,
         policy: Optional[AccessPolicy] = None,
     ):
@@ -378,7 +368,7 @@ class Scheduler:
         self.jobs_dir = self.root / "jobs"
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
         self.registry = registry
-        self.cache = cache if cache is not None else CacheStore(self.root / "cache")
+        self.cache = CacheStore(self.root / "cache")
         self.backend = backend if backend is not None else ExecutorBackend()
         self.policy = policy if policy is not None else AccessPolicy()
 
@@ -386,9 +376,7 @@ class Scheduler:
 
     def _new_job_id(self) -> str:
         existing = [
-            int(p.name[4:])
-            for p in self.jobs_dir.iterdir()
-            if p.name.startswith("job-") and p.name[4:].isdecimal()
+            int(p.name[4:]) for p in self.jobs_dir.iterdir() if _JOB_ID.fullmatch(p.name)
         ]
         return f"job-{(max(existing) + 1 if existing else 1):06d}"
 
@@ -406,6 +394,13 @@ class Scheduler:
                 continue
             return job_id, self.jobs_dir / job_id
 
+    def _job_dir(self, job_id: str) -> Path:
+        """The directory of a job ``_claim_job_dir`` made; else unknown job."""
+        job_dir = self.jobs_dir / job_id
+        if not (_JOB_ID.fullmatch(job_id) and job_dir.is_dir()):
+            raise SchedulerError(f"unknown job {job_id!r}")
+        return job_dir
+
     def _job(self, job_id: str) -> _Job:
         """A fresh replay of the job's manifest, units and event log.
 
@@ -415,9 +410,7 @@ class Scheduler:
         job's JSON files are published whole (``write_once``) and its log
         skips a line still being appended.
         """
-        job_dir = self.jobs_dir / job_id
-        if not job_dir.is_dir():
-            raise SchedulerError(f"unknown job {job_id!r}")
+        job_dir = self._job_dir(job_id)
         job = _Job(job_id, job_dir)
         manifest_path = job_dir / "manifest.json"
         if manifest_path.is_file():
@@ -425,7 +418,7 @@ class Scheduler:
         units_path = job_dir / "units.json"
         if units_path.is_file():
             obj = json.loads(units_path.read_text())
-            job.units = tuple(WorkUnit.from_json_obj(u) for u in obj["units"])
+            job.units = tuple(WorkUnit(**u) for u in obj["units"])
             job.data_digests = tuple(obj["data_digests"])
         for event in read_jsonl(job.events_path):
             if event["event"] == "phase":
@@ -439,10 +432,7 @@ class Scheduler:
     @contextmanager
     def _drive(self, job_id: str) -> Iterator[_Job]:
         """Hold the job's lock for the block; yield a replay made under it."""
-        job_dir = self.jobs_dir / job_id
-        if not job_dir.is_dir():
-            raise SchedulerError(f"unknown job {job_id!r}")
-        with open(job_dir / "lock", "ab") as lock:
+        with open(self._job_dir(job_id) / "lock", "ab") as lock:
             try:
                 fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
             except BlockingIOError:
@@ -491,7 +481,7 @@ class Scheduler:
                 job.dir / "units.json",
                 canonical_json_bytes(
                     {
-                        "units": [u.to_json_obj() for u in units],
+                        "units": [asdict(u) for u in units],
                         "data_digests": list(data_digests),
                     }
                 ),
@@ -563,7 +553,7 @@ class Scheduler:
             else:
                 job.set_phase("failed")
         report = self._assemble_report(job, results, time.monotonic() - started)
-        write_once(job.dir / "report.json", canonical_json_bytes(report.to_json_obj()))
+        write_once(job.dir / "report.json", canonical_json_bytes(asdict(report)))
         return report
 
     def _dispatch(self, job: _Job, parallelism: int) -> Dict[str, StageResult]:

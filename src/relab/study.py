@@ -30,6 +30,9 @@ rejections at alpha=0.01 when frozen). Use this path for statistical
 experiments (many corpora, many seeds); use the engine when provenance,
 caching, and isolation matter.
 
+Every fit uses ``Hyperparams()``, the constants the engine plans its
+``train`` units with, and the bias report's interval is a 95% one.
+
 The study reads only each fit's predictions, so its fits skip the
 per-iteration loss trace (``train_logreg(..., trace=False)``); only the
 engine's ``model.json`` records that trace. The weights are the same
@@ -84,8 +87,6 @@ class StudyConfig:
     synth: SynthConfig = field(default_factory=default_study_synth)
     weeks: Tuple[int, ...] = (1,)
     k: int = 5
-    hyperparams: Hyperparams = field(default_factory=Hyperparams)
-    ci_level: float = 0.95
     fold_seed: Optional[int] = None  # defaults to synth.seed
 
     def __post_init__(self):
@@ -148,7 +149,7 @@ def _fit_scores(cfg: StudyConfig, course, week: int, fit: int) -> np.ndarray:
         test_mask = kfold_split(len(y_cv), cfg.k, cfg.effective_fold_seed) == fit
         X_train, y_train, X_test = X_cv[~test_mask], y_cv[~test_mask], X_cv[test_mask]
     std = Standardizer.fit(X_train)
-    model = train_logreg(std.transform(X_train), y_train, cfg.hyperparams, trace=False)
+    model = train_logreg(std.transform(X_train), y_train, Hyperparams(), trace=False)
     return predict(model, std.transform(X_test))
 
 
@@ -236,4 +237,4 @@ def run_study(cfg: StudyConfig) -> BiasReport:
     for c, course in enumerate(courses):
         course_scores = scores[c * len(fits) : (c + 1) * len(fits)]
         pairs.extend(_pairs_from_scores(cfg, c, course, course_scores))
-    return bias_report(PairedSample(pairs=tuple(pairs)), ci_level=cfg.ci_level)
+    return bias_report(PairedSample(pairs=tuple(pairs)))

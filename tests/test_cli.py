@@ -144,6 +144,13 @@ class TestStatus:
         code, _, err = cli(capsys, "--root", root["state"], "status", "job-999999")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["status", "results"])
+    @pytest.mark.parametrize("job_id", ["..", "."])
+    def test_dot_job_id_is_unknown(self, root, capsys, command, job_id):
+        code, out, err = cli(capsys, "--root", root["state"], command, job_id)
+        assert (code, out) == (1, "")
+        assert "unknown job" in err
+
 
 class TestResults:
     def test_csv_byte_stable(self, root, submitted, capsys):

@@ -8,6 +8,7 @@ import signal
 import stat
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -526,7 +527,7 @@ class TestStageZygote:
         inputs = {  # stage -> (params, {input path: (stage, its output)})
             "extract": ({"feature_weeks": 2}, {}),
             "train": (
-                dict(folds, hyperparams=Hyperparams(iterations=20).to_json_obj()),
+                dict(folds, hyperparams=asdict(Hyperparams(iterations=20))),
                 features,
             ),
             "test": (

@@ -65,6 +65,18 @@ def gateway(tmp_path_factory):
     server.shutdown()
 
 
+def raw_request(gateway, request: bytes):
+    """Send bytes as they are; the reply's head and body once it closes."""
+    port = gateway["server"].server_address[1]
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return head, body
+
+
 class TestJobEndpoints:
     def test_submit_runs_to_success(self, gateway):
         response = requests.get(f"{gateway['base']}/jobs/{gateway['job_id']}")
@@ -105,18 +117,20 @@ class TestJobEndpoints:
     def test_bad_content_length_is_400(self, gateway, length):
         # a raw socket: an HTTP client would not send such a header; the
         # timeout fails a server that waits for the body instead of hanging
-        port = gateway["server"].server_address[1]
-        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
-            sock.sendall(
-                b"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
-                b"Content-Length: " + length.encode() + b"\r\n\r\n{}"
-            )
-            reply = b""
-            while chunk := sock.recv(4096):
-                reply += chunk
-        head, _, body = reply.partition(b"\r\n\r\n")
+        head, body = raw_request(
+            gateway,
+            b"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Length: " + length.encode() + b"\r\n\r\n{}",
+        )
         assert head.startswith(b"HTTP/1.1 400 ")
         assert "Content-Length" in json.loads(body)["error"]
+
+    @pytest.mark.parametrize("path", ["/jobs/..", "/jobs/.", "/jobs/../report"])
+    def test_dot_job_id_is_404(self, gateway, path):
+        # a raw socket: an HTTP client removes dot segments before sending
+        head, body = raw_request(gateway, f"GET {path} HTTP/1.0\r\n\r\n".encode())
+        assert head.startswith(b"HTTP/1.1 404 ")
+        assert "unknown job" in json.loads(body)["error"]
 
     def test_unknown_job_is_404(self, gateway):
         assert requests.get(f"{gateway['base']}/jobs/job-999999").status_code == 404

@@ -3,7 +3,9 @@
 Each record here is built from fixed values, so the sha256 of its bytes
 is fixed too. A change to how a manifest, a trial record, a cache entry
 or an evaluation report is serialized shows up as a changed digest; the
-trial id and every cache key hash these bytes.
+trial id and every cache key hash these bytes. A registry index file is
+compared byte for byte when a course is registered again, so its bytes
+are pinned too.
 """
 
 from dataclasses import replace
@@ -30,6 +32,7 @@ from relab.manifest import (
     render_manifest,
 )
 from relab.provenance import CacheStore, TrialLedger, TrialRecord
+from relab.registry import Registry
 
 CREATED_AT = "2026-01-02T03:04:05+00:00"
 
@@ -39,6 +42,7 @@ LEDGER_LINE_SHA = "13390eba7044b615e295841446089f1150dc512283d06252bb053f93ffac9
 CACHE_ENTRY_SHA = "a587bd3b5c819312ec03d198e8f50b9958dbf2863ccd4578a46bea1ff2472a6a"
 REPORT_JSON_SHA = "79465f86140577b7f7b9352ce5eb448e7a19f103032fcd62a0fdf613918d6846"
 REPORT_CSV_SHA = "18414165e10e562fc8e4a8b3bf66c610c959aa846b21c547492bfcd63c94235b"
+INDEX_SHA = "e07c3bd9c16836eb0ee49d5c1b4b72382020b168f6e8049e65f68bf9730a340f"
 
 
 def make_manifest():
@@ -144,3 +148,42 @@ def test_cache_entry_bytes(tmp_path, monkeypatch):
 )
 def test_eval_report_bytes(render, expected):
     assert sha256_bytes(render(make_report()).encode("utf-8")) == expected
+
+
+def test_registry_index_bytes(tmp_path):
+    registry = Registry(tmp_path / "registry")
+    files = {
+        ("2014-spring", "events.csv"): b"learner,week\n1,1\n",
+        ("2014-spring", "logs/session.json"): b"{}",
+        ("2013-fall", "events.csv"): b"learner,week\n2,3\n",
+    }
+    for (session_id, rel), data in files.items():
+        path = registry.session_dir("course000", session_id) / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    registry.register_course(
+        {
+            "course_id": "course000",
+            "sessions": [
+                {
+                    "session_id": "2014-spring",
+                    "start_date": "2014-01-06",
+                    "num_weeks": 6,
+                    "files": ["logs/session.json", "events.csv"],
+                },
+                {
+                    "session_id": "2013-fall",
+                    "start_date": "2013-09-02",
+                    "num_weeks": 5,
+                    "files": [
+                        {
+                            "path": "events.csv",
+                            "digest": sha256_bytes(files[("2013-fall", "events.csv")]),
+                        }
+                    ],
+                },
+            ],
+        }
+    )
+    (index,) = registry.index_dir.iterdir()
+    assert sha256_bytes(index.read_bytes()) == INDEX_SHA

@@ -9,6 +9,7 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -679,7 +680,7 @@ class TestStageEntrypoint:
         (train_data / "params.json").write_text(
             json.dumps(
                 {
-                    "hyperparams": Hyperparams().to_json_obj(),
+                    "hyperparams": asdict(Hyperparams()),
                     "fold_count": None,
                 }
             )
@@ -748,7 +749,7 @@ class TestStageEntrypoint:
                     "fold_count": 3,
                     "fold_index": fold,
                     "fold_seed": 99,
-                    "hyperparams": Hyperparams(iterations=20).to_json_obj(),
+                    "hyperparams": asdict(Hyperparams(iterations=20)),
                 }
                 (data / "params.json").write_text(json.dumps(params))
                 out = tmp_path / f"out_{role}_f{fold}"

@@ -174,6 +174,31 @@ class TestRegisterCourse:
         with pytest.raises(RegistryError, match="not a string"):
             r.register_course({"course_id": "c", "sessions": [session]})
 
+    @pytest.mark.parametrize("course_id", ["../../outside", "..", ".", "a/b", "a\0b"])
+    def test_course_id_is_one_path_component(self, tmp_path, course_id):
+        r = Registry(tmp_path / "registry")
+        with pytest.raises(RegistryError, match="one path component"):
+            r.register_course({"course_id": course_id, "sessions": []})
+        assert not list(tmp_path.rglob("*.json"))
+
+    def test_session_id_is_one_path_component(self, tmp_path):
+        # another course's file, where the session id would point
+        r = make_registry(tmp_path, BASIC)
+        descriptor = {
+            "course_id": "course-c",
+            "sessions": [
+                {
+                    "session_id": "../course-b/2015-only",
+                    "start_date": "2016-01-04",
+                    "num_weeks": 5,
+                    "files": ["events.csv"],
+                }
+            ],
+        }
+        with pytest.raises(RegistryError, match="one path component"):
+            r.register_course(descriptor)
+        assert r.course_ids() == ["course-a", "course-b"]
+
     def test_duplicate_start_dates_rejected(self, tmp_path):
         with pytest.raises(RegistryError, match="distinct"):
             make_registry(
@@ -399,6 +424,26 @@ class TestValidateManifest:
         )
         report = validate_manifest(m, r)
         assert not report.ok and "unknown course" in report.violations[0]
+
+    def test_selector_id_outside_the_index_is_unknown(self, tmp_path):
+        from relab.manifest import EvalConfig, default_manifest, validate_manifest
+
+        r = make_registry(tmp_path, BASIC)
+        # an index document where the selector's id would point
+        (r.root / "elsewhere.json").write_bytes(
+            (r.index_dir / "course-a.json").read_bytes()
+        )
+        m = default_manifest(
+            experiment_name="exp",
+            selector=DatasetSelector(kind="whole_course", course_id="../elsewhere"),
+            eval_config=EvalConfig(scheme="holdout"),
+            seed=1,
+            feature_weeks=2,
+        )
+        report = validate_manifest(m, r)
+        assert not report.ok and "unknown course" in report.violations[0]
+        with pytest.raises(RegistryError, match="unknown course"):
+            r.resolve_selector(m.dataset_selector)
 
     def test_valid_manifest_clean_report(self, tmp_path):
         from relab.manifest import EvalConfig, default_manifest, validate_manifest

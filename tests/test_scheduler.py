@@ -504,6 +504,17 @@ class TestSubmit:
         with pytest.raises(SchedulerError, match="unknown job"):
             sched.status("job-999999")
 
+    @pytest.mark.parametrize("name", ["..", ".", "job-notes", "job-000001/.."])
+    def test_only_claimed_job_names_are_jobs(self, corpus_registry, tmp_path, name):
+        sched = Scheduler(tmp_path, corpus_registry)
+        sched.submit(make_manifest())
+        (tmp_path / "jobs" / "job-notes").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        for call in (sched.status, sched.cancel, sched.plan):
+            with pytest.raises(SchedulerError, match="unknown job"):
+                call(name)
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 @pytest.fixture(scope="module")
 def executed(tmp_path_factory, corpus_registry):
@@ -584,7 +595,7 @@ class TestExecute:
         sched, job_id, report = executed
         job_dir = sched.jobs_dir / job_id
         units = {
-            u["unit_id"]: WorkUnit.from_json_obj(u)
+            u["unit_id"]: WorkUnit(**u)
             for u in json.loads((job_dir / "units.json").read_text())["units"]
         }
         states = {}
@@ -647,7 +658,7 @@ class TestRestart:
 
     def test_replayed_state_matches(self, executed):
         sched, job_id, report = executed
-        fresh = Scheduler(sched.root, sched.registry, cache=sched.cache)
+        fresh = Scheduler(sched.root, sched.registry)
         state = fresh.status(job_id)
         assert state == sched.status(job_id)
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import relab.study as study
 from relab.refpipe import Hyperparams
 from relab.study import StudyConfig, course_pairs, default_study_synth, run_study
 from relab.synthdata import SynthConfig
@@ -98,10 +99,9 @@ def child_pids():
     return pids
 
 
-# learning steps this large overflow the weights: every fit raises
-DIVERGING = dataclasses.replace(
-    TINY, hyperparams=Hyperparams(learning_rate=1e308, iterations=3)
-)
+def diverging_hyperparams():
+    """Learning steps this large overflow the weights: every fit raises."""
+    return Hyperparams(learning_rate=1e308, iterations=3)
 
 
 class TestFitPool:
@@ -123,9 +123,11 @@ class TestFitPool:
     def test_a_fit_that_raises_raises_from_run_study(self, monkeypatch, cpus):
         if cpus == "one":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        # forked workers inherit the patched hyperparameters
+        monkeypatch.setattr(study, "Hyperparams", diverging_hyperparams)
         before = child_pids()
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="diverged"):
-            run_study(DIVERGING)
+            run_study(TINY)
         assert multiprocessing.active_children() == []
         assert child_pids() <= before
 
