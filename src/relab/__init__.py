@@ -8,8 +8,8 @@ cached, and exportable as deterministic bundles that can be imported and
 re-executed elsewhere.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
-# The engine version participates in trial identity; bump it whenever a
-# change can alter stage outputs or report bytes.
+# The engine version participates in trial identity and in every cache
+# key; bump it whenever a change can alter stage outputs or report bytes.
 ENGINE_VERSION = __version__

@@ -1,10 +1,10 @@
 """Content-addressed artifact cache and an append-only trial ledger.
 
 The cache maps a key derived from everything that determines a stage's
-output (stage name, manifest digest, ordered input digests, seed) to the
-digests of the files that stage produced, with the bytes themselves held
-in a shared blob store addressed by SHA-256. Replaying a unit whose key
-is cached skips execution entirely.
+output (stage name, manifest digest, ordered input digests, seed, engine
+version) to the digests of the files that stage produced, with the bytes
+themselves held in a shared blob store addressed by SHA-256. Replaying a
+unit whose key is cached skips execution entirely.
 
 The ledger assigns every completed job a trial id that is a pure content
 digest of its configuration: the manifest's canonical bytes, the image
@@ -50,6 +50,7 @@ from .manifest import JobManifest, canonicalize, parse_manifest, render_manifest
 
 CACHE_KEY_TAG = b"relab.cache-key.v1"
 TRIAL_ID_TAG = b"relab.trial.v1"
+EVAL_DIGEST_TAG = b"relab.eval.v1"
 
 BUNDLE_TRIAL_NAME = "trial.json"
 BUNDLE_MANIFEST_NAME = "manifest.json"
@@ -80,13 +81,19 @@ def _require_digest(value: str, what: str) -> str:
 
 
 def cache_key(
-    stage: str, manifest_digest: str, input_digests: Sequence[str], seed: int
+    stage: str,
+    manifest_digest: str,
+    input_digests: Sequence[str],
+    seed: int,
+    engine_version: str = ENGINE_VERSION,
 ) -> str:
     """Key identifying one unit of work.
 
     Byte layout under the hash (each field 8-byte length-prefixed):
     tag, stage name, manifest digest, input count as 8-byte big-endian,
-    each input digest in caller order, seed as 8-byte big-endian.
+    each input digest in caller order, seed as 8-byte big-endian, engine
+    version. A new engine version, whose stage code may write other
+    bytes, never reads an older version's entries.
     """
     if not stage:
         raise ProvenanceError("stage name must be non-empty")
@@ -103,6 +110,7 @@ def cache_key(
     ]
     fields.extend(d.encode("ascii") for d in input_digests)
     fields.append(seed.to_bytes(8, "big"))
+    fields.append(engine_version.encode("utf-8"))
     return sha256_concat(*fields)
 
 
@@ -336,9 +344,11 @@ def record_trial(
 ) -> TrialRecord:
     """Register a successful job's outcome under its content-derived id.
 
-    ``report`` is any object exposing ``phase``, ``data_digests`` and
-    ``entries`` (each entry with unit_id, stage, output_digests), which
-    is exactly what the scheduler's JobReport provides. The canonical
+    ``report`` is any object exposing ``phase``, ``data_digests``,
+    ``entries`` (each entry with unit_id, stage, output_digests) and
+    ``eval_artifacts`` (course id -> metrics digest), which is exactly
+    what the scheduler's JobReport provides. ``eval_digest`` hashes
+    every course's metrics digest, in course order. The canonical
     manifest bytes go into ``cache``, where ``export_bundle`` and a
     fork find them later.
     """
@@ -352,10 +362,8 @@ def record_trial(
     stage_digests = {
         e.unit_id: dict(e.output_digests) for e in report.entries
     }
-    eval_units = [e for e in report.entries if e.stage == "evaluate"]
-    eval_digest = ""
-    if eval_units and eval_units[0].output_digests:
-        eval_digest = sorted(eval_units[0].output_digests.items())[0][1]
+    metrics = (d.encode("ascii") for _, d in sorted(report.eval_artifacts.items()))
+    eval_digest = sha256_concat(EVAL_DIGEST_TAG, *metrics)
     record = TrialRecord(
         trial_id=trial_id_for(canonical, manifest.image_ref, report.data_digests),
         manifest_digest=manifest_digest,

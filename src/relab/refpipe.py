@@ -20,6 +20,8 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+import math
+import operator
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -390,17 +392,25 @@ class Standardizer:
 
 @dataclass(frozen=True)
 class Hyperparams:
-    learning_rate: float = 0.1
-    iterations: int = 500
+    """Newton's stopping rule and the weights' L2 penalty.
+
+    A fit stops once its largest Newton step component is below
+    ``tolerance``, or after ``max_iterations`` steps. A positive
+    ``l2_penalty`` keeps the Hessian positive definite, also when a
+    standardized column is constant.
+    """
+
+    tolerance: float = 1e-10
+    max_iterations: int = 50
     l2_penalty: float = 1e-4
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.iterations < 0:
-            raise ValueError("iterations must be non-negative")
-        if self.l2_penalty < 0:
-            raise ValueError("l2_penalty must be non-negative")
+        if not self.tolerance > 0:
+            raise ValueError("tolerance must be positive")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be non-negative")
+        if not self.l2_penalty > 0:
+            raise ValueError("l2_penalty must be positive")
 
 
 @dataclass
@@ -449,11 +459,11 @@ def _loss_at(
 
 
 def _gradient_at(
-    X: np.ndarray, z: np.ndarray, y: np.ndarray, weights: np.ndarray, l2_penalty: float
+    X: np.ndarray, p: np.ndarray, y: np.ndarray, weights: np.ndarray, l2_penalty: float
 ):
-    """logistic_gradient from the scores ``z = X @ weights + bias``."""
+    """logistic_gradient from the probabilities ``p = sigmoid(X @ weights + bias)``."""
     n = len(y)
-    residual = _sigmoid(z) - y
+    residual = p - y
     grad_w = X.T @ residual / n + l2_penalty * weights
     grad_b = float(np.add.reduce(residual) / n)
     return grad_w, grad_b
@@ -470,7 +480,52 @@ def logistic_gradient(
     X: np.ndarray, y: np.ndarray, weights: np.ndarray, bias: float, l2_penalty: float
 ):
     """Gradient of logistic_loss wrt (weights, bias)."""
-    return _gradient_at(X, X @ weights + bias, y, weights, l2_penalty)
+    p = _sigmoid(X @ weights + bias)
+    return _gradient_at(X, p, y, weights, l2_penalty)
+
+
+def _cholesky_solve(H: list, g: list) -> list:
+    """Solve ``H x = g`` for a symmetric positive definite H, on Python floats.
+
+    A hand-written Cholesky factor and two triangular solves. Every dot
+    product is ``math.fsum`` of the rounded products, which is correctly
+    rounded: unlike LAPACK, whose kernels the CPU chooses, or ``sum``,
+    whose float algorithm changed in Python 3.12, it gives the same bits
+    on every host.
+    """
+    m = len(g)
+    L = [[0.0] * m for _ in range(m)]
+    for i in range(m):
+        row = L[i]
+        for j in range(i + 1):
+            s = H[i][j] - math.fsum(map(operator.mul, row[:j], L[j][:j]))
+            if i > j:
+                row[j] = s / L[j][j]
+            elif s > 0:
+                row[i] = math.sqrt(s)
+            else:
+                raise ValueError("training diverged: Hessian not positive definite")
+    u = []
+    for i in range(m):  # L u = g
+        u.append((g[i] - math.fsum(map(operator.mul, L[i][:i], u))) / L[i][i])
+    x = [0.0] * m
+    for i in reversed(range(m)):  # L^T x = u
+        x[i] = (u[i] - math.fsum(L[k][i] * x[k] for k in range(i + 1, m))) / L[i][i]
+    return x
+
+
+def _newton_step(
+    X1: np.ndarray, p: np.ndarray, grad: np.ndarray, l2_penalty: float
+) -> np.ndarray:
+    """The Newton step ``H^-1 g`` of (weights, bias) from ``X1 = [X 1]``.
+
+    ``H = X1^T diag(p(1-p)) X1 / n``, plus ``l2_penalty`` on the weights'
+    diagonal only.
+    """
+    n, m = X1.shape
+    H = X1.T @ (X1 * (p * (1.0 - p))[:, None]) / n
+    H[np.arange(m - 1), np.arange(m - 1)] += l2_penalty
+    return np.array(_cholesky_solve(H.tolist(), grad.tolist()))
 
 
 def train_logreg(
@@ -478,17 +533,17 @@ def train_logreg(
     y: np.ndarray,
     hp: Optional[Hyperparams] = None,
     seed: int = 0,
-    trace: bool = True,
 ) -> ModelParams:
-    """Full-batch gradient descent from zero init; deterministic.
+    """Damped Newton (IRLS) from zero init; deterministic.
+
+    Each step solves ``H d = g`` for (weights, bias), and is halved while
+    it would raise the loss by more than ``hp.tolerance`` of it. The fit
+    stops once the largest component of ``d`` is below ``hp.tolerance``,
+    or after ``hp.max_iterations`` steps. ``loss_trace`` holds the loss of
+    every iterate, the start and the result included.
 
     X must already be standardized by the caller. A single-class y yields a
     bias-only model at the (clipped) class prior, flagged degenerate.
-
-    With ``trace=False`` the per-iteration loss is not computed and the
-    model's ``loss_trace`` is ``()``. The descent step reads only the
-    gradient, never the loss, so the weights and bias are bit-identical to
-    a traced fit's.
     """
     hp = hp or Hyperparams()
     X = np.asarray(X, dtype=float)
@@ -504,16 +559,28 @@ def train_logreg(
     if degenerate:
         prior = float(np.clip(y.mean(), 1.0 / (n + 1), n / (n + 1.0)))
         bias = float(np.log(prior / (1.0 - prior)))
-    losses = []
-    for _ in range(0 if degenerate else hp.iterations):
-        z = X @ weights + bias  # one forward pass serves the loss and gradient
-        if trace:
-            losses.append(_loss_at(z, y, weights, hp.l2_penalty))
-        grad_w, grad_b = _gradient_at(X, z, y, weights, hp.l2_penalty)
-        weights = weights - hp.learning_rate * grad_w
-        bias = bias - hp.learning_rate * grad_b
-    if trace:
-        losses.append(logistic_loss(X, y, weights, bias, hp.l2_penalty))
+    X1 = np.hstack([X, np.ones((n, 1))])
+    z = X @ weights + bias  # one forward pass serves the loss, gradient and Hessian
+    losses = [_loss_at(z, y, weights, hp.l2_penalty)]
+    for _ in range(0 if degenerate else hp.max_iterations):
+        p = _sigmoid(z)
+        grad_w, grad_b = _gradient_at(X, p, y, weights, hp.l2_penalty)
+        step = _newton_step(X1, p, np.append(grad_w, grad_b), hp.l2_penalty)
+        # a smaller rise is rounding: near the optimum it is all a step changes
+        limit = losses[-1] * (1.0 + hp.tolerance)
+        t = 1.0
+        while True:  # ends: at t == 0 the iterate, and so its loss, is unchanged
+            new_weights = weights - t * step[:d]
+            new_bias = bias - t * float(step[d])
+            z = X @ new_weights + new_bias
+            loss = _loss_at(z, y, new_weights, hp.l2_penalty)
+            if not loss > limit:
+                break
+            t *= 0.5
+        weights, bias = new_weights, new_bias
+        losses.append(loss)
+        if not np.abs(step).max() >= hp.tolerance:
+            break
     if not (np.isfinite(weights).all() and np.isfinite(bias)):
         raise ValueError("training diverged to non-finite parameters")
     return ModelParams(

@@ -27,6 +27,12 @@ DEFAULT_EXPORT_ALLOWLIST = ("*.csv", "*.json")
 
 SELECTOR_KINDS = ("single_session", "whole_course", "all_courses")
 
+# the keys a course descriptor, its sessions and its file entries may hold
+COURSE_KEYS = ("course_id", "platform_schema", "sessions")
+SESSION_KEYS = ("session_id", "start_date", "num_weeks", "files")
+FILE_KEYS = ("path", "digest")
+DEFAULT_PLATFORM_SCHEMA = "event-log-v1"
+
 
 class RegistryError(Exception):
     """Raised for descriptor, lookup, and verification failures."""
@@ -193,6 +199,13 @@ def _entries(obj: dict, key: str, where: str) -> list:
     return value
 
 
+def _known_keys(obj: dict, allowed: Tuple[str, ...], where: str) -> None:
+    """Refuse a key outside ``allowed``: a misspelt one would be ignored."""
+    extra = sorted(set(obj) - set(allowed))
+    if extra:
+        raise RegistryError(f"{where}: unknown key(s) {', '.join(map(repr, extra))}")
+
+
 def _is_name(value: str) -> bool:
     """Whether an id names one path component under its parent directory."""
     return value not in ("", ".", "..") and "/" not in value and "\0" not in value
@@ -270,12 +283,19 @@ class Registry:
         already sit under data/<course>/<session>/; their digests are
         computed here and become the registered truth. Re-registering an
         identical descriptor is a no-op; conflicting content is an error.
+        A key outside ``COURSE_KEYS``, ``SESSION_KEYS`` or ``FILE_KEYS`` is
+        refused, and ``platform_schema``, when given, must be a string.
         """
         course_id = _id(descriptor, "course_id", "descriptor")
+        _known_keys(descriptor, COURSE_KEYS, "descriptor")
+        platform_schema = descriptor.get("platform_schema", DEFAULT_PLATFORM_SCHEMA)
+        if not isinstance(platform_schema, str):
+            raise RegistryError("descriptor: platform_schema must be a string")
         sessions = []
         for sess in _entries(descriptor, "sessions", "descriptor"):
             session_id = _id(sess, "session_id", f"session of {course_id!r}")
             where = f"session {course_id}/{session_id}"
+            _known_keys(sess, SESSION_KEYS, where)
             try:
                 start_date = dt.date.fromisoformat(sess["start_date"])
             except (KeyError, TypeError, ValueError):
@@ -289,6 +309,7 @@ class Registry:
                 if isinstance(entry, str):
                     rel, expected = entry, None
                 elif isinstance(entry, dict) and isinstance(entry.get("path"), str):
+                    _known_keys(entry, FILE_KEYS, f"{where}: file entry")
                     rel, expected = entry["path"], entry.get("digest")
                 else:
                     raise RegistryError(f"{where}: file entry {entry!r} has no path")
@@ -317,7 +338,7 @@ class Registry:
             )
         course = Course(
             course_id=course_id,
-            platform_schema=descriptor.get("platform_schema", "event-log-v1"),
+            platform_schema=platform_schema,
             sessions=tuple(sorted(sessions, key=lambda s: (s.start_date, s.session_id))),
         )
         payload = canonical_json_bytes(_course_to_json(course))

@@ -33,11 +33,6 @@ caching, and isolation matter.
 Every fit uses ``Hyperparams()``, the constants the engine plans its
 ``train`` units with, and the bias report's interval is a 95% one.
 
-The study reads only each fit's predictions, so its fits skip the
-per-iteration loss trace (``train_logreg(..., trace=False)``); only the
-engine's ``model.json`` records that trace. The weights are the same
-either way.
-
 ``run_study`` spreads the fits (one holdout model or CV fold of one
 course and week) over the CPUs the process may use, in forked workers;
 its report is bit-identical to a serial run's.
@@ -149,7 +144,7 @@ def _fit_scores(cfg: StudyConfig, course, week: int, fit: int) -> np.ndarray:
         test_mask = kfold_split(len(y_cv), cfg.k, cfg.effective_fold_seed) == fit
         X_train, y_train, X_test = X_cv[~test_mask], y_cv[~test_mask], X_cv[test_mask]
     std = Standardizer.fit(X_train)
-    model = train_logreg(std.transform(X_train), y_train, Hyperparams(), trace=False)
+    model = train_logreg(std.transform(X_train), y_train, Hyperparams())
     return predict(model, std.transform(X_test))
 
 

@@ -1,10 +1,12 @@
 """What the benchmark under ``bench/`` takes from the package.
 
 ``bench/`` is read here and never changed. A renamed function breaks
-``bench/run.py --trace 1``, and a manifest schema change fails every
-``engine_cold`` operation; neither shows in the package's other tests.
+``bench/run.py --trace 1``, and a manifest schema change or a new
+trial-id layout fails every ``engine_cold`` operation; none of these
+shows in the package's other tests.
 """
 
+import dataclasses
 import importlib
 import json
 import shutil
@@ -14,7 +16,10 @@ from pathlib import Path
 
 import pytest
 
+from relab import ENGINE_VERSION
+from relab.cli import Engine
 from relab.manifest import parse_manifest
+from relab.synthdata import generate_and_register
 
 REPO = Path(__file__).resolve().parent.parent
 BENCH = REPO / "bench"
@@ -46,6 +51,22 @@ def test_bench_manifest_parses(bench):
     _, workloads = bench
     manifest = parse_manifest(json.dumps(workloads.manifest_doc(1)))
     assert manifest.seed == 1
+
+
+def test_recorded_trial_id_matches_the_bench_recomputation(bench, tmp_path):
+    # the trial-id byte layout is recomputed under bench/; a version bump
+    # may change the version string in it, never the layout
+    _, workloads = bench
+    synth = dataclasses.replace(
+        workloads.engine_synth(1), num_courses=1, learners_per_session=40
+    )
+    engine = Engine(tmp_path)
+    generate_and_register(synth, engine.registry)
+    doc = workloads.manifest_doc(1)
+    _, report, trial = engine.run_job(parse_manifest(json.dumps(doc)))
+    assert report.phase == "succeeded"
+    data = engine.registry.data_dir
+    assert trial.trial_id == workloads.checks.expected_trial_id(doc, data, ENGINE_VERSION)
 
 
 def test_self_test_passes():

@@ -1,5 +1,6 @@
 """Tests for the command-line frontend: exit codes, output bytes, fork."""
 
+import dataclasses
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tarfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,7 +23,12 @@ from relab.manifest import (
     parse_manifest,
     render_manifest,
 )
-from relab.provenance import IntegrityError, export_bundle, manifest_for_trial
+from relab.provenance import (
+    IntegrityError,
+    export_bundle,
+    manifest_for_trial,
+    record_trial,
+)
 
 SYNTH_CFG = {
     "num_courses": 1,
@@ -297,6 +304,31 @@ class TestCompare:
         assert summary["data_equal"] is True
         assert summary["manifest_equal"] is False
         assert summary["eval_equal"] is False
+
+    def test_metrics_of_a_later_course_reach_eval_equal(self, tmp_path, capsys):
+        # two trials whose first course's metrics agree
+        engine = Engine(tmp_path / "state")
+        trials = []
+        for name, later in (("a", b'{"auc": 0.8}'), ("b", b'{"auc": 0.9}')):
+            metrics = {"course000": engine.cache.put_blob(b'{"auc": 0.7}'),
+                       "course001": engine.cache.put_blob(later)}
+            report = SimpleNamespace(
+                phase="succeeded",
+                data_digests=(),
+                entries=tuple(
+                    SimpleNamespace(unit_id=f"{c}:evaluate", stage="evaluate",
+                                    output_digests={"metrics.json": d})
+                    for c, d in metrics.items()
+                ),
+                eval_artifacts=metrics,
+            )
+            manifest = parse_manifest(make_manifest_text())
+            manifest = dataclasses.replace(manifest, experiment_name=name)
+            trials.append(record_trial(engine.ledger, report, manifest, engine.cache))
+        code, out, _ = cli(capsys, "--root", tmp_path / "state", "compare",
+                           "--a", trials[0].trial_id, "--b", trials[1].trial_id)
+        assert code == 2
+        assert json.loads(out)["eval_equal"] is False
 
     def test_unknown_trial_exits_1(self, root, submitted, capsys):
         code, _, err = cli(capsys, "--root", root["state"], "compare",

@@ -527,7 +527,7 @@ class TestStageZygote:
         inputs = {  # stage -> (params, {input path: (stage, its output)})
             "extract": ({"feature_weeks": 2}, {}),
             "train": (
-                dict(folds, hyperparams=asdict(Hyperparams(iterations=20))),
+                dict(folds, hyperparams=asdict(Hyperparams(max_iterations=20))),
                 features,
             ),
             "test": (

@@ -40,8 +40,9 @@ D_LABELS = hashlib.sha256(b"labels").hexdigest()
 
 # frozen oracle value: SHA-256 over the documented framing, computed by
 # hand with hashlib over (tag, "train", manifest digest, count=2, the two
-# digests above, seed=42), each field 8-byte big-endian length-prefixed
-CACHE_KEY_FIXTURE = "c6b7286c01204b6c79901cc2e051483ba24cbe90caebd8cca016c4d76385d713"
+# digests above, seed=42, "0.2.0"), each field 8-byte big-endian
+# length-prefixed
+CACHE_KEY_FIXTURE = "261a2c454a78d00ea800be25fc9a151e817f175e756d7bc80b3c85acfb1569bb"
 
 TRIAL_CANON = b'{"experiment_name":"t","seed":7}'
 TRIAL_DATA = sorted(
@@ -54,8 +55,17 @@ TRIAL_ID_FIXTURE = "902c024ebc9db4c136d1908f51d33ff564701b327bb4a944bce2ca7db22a
 
 class TestCacheKey:
     def test_frozen_fixture(self):
-        key = cache_key("train", MANIFEST_DIGEST, [D_FEATURES, D_LABELS], 42)
+        key = cache_key("train", MANIFEST_DIGEST, [D_FEATURES, D_LABELS], 42, "0.2.0")
         assert key == CACHE_KEY_FIXTURE
+
+    def test_engine_version_matters(self):
+        # stage code of another engine version may write other bytes
+        a = cache_key("train", MANIFEST_DIGEST, [D_FEATURES], 1, "0.1.0")
+        b = cache_key("train", MANIFEST_DIGEST, [D_FEATURES], 1, "0.2.0")
+        assert a != b
+        assert cache_key("train", MANIFEST_DIGEST, [D_FEATURES], 1) == cache_key(
+            "train", MANIFEST_DIGEST, [D_FEATURES], 1, ENGINE_VERSION
+        )
 
     def test_deterministic(self):
         a = cache_key("train", MANIFEST_DIGEST, [D_FEATURES], 1)
@@ -322,6 +332,15 @@ class FakeReport:
     phase: str
     data_digests: Tuple[str, ...]
     entries: Tuple[FakeEntry, ...]
+    eval_artifacts: Dict[str, str] = field(default_factory=dict)
+
+
+def eval_digest_of(*metrics_digests):
+    """The documented framing: tag, then each course's metrics digest."""
+    h = hashlib.sha256()
+    for part in (b"relab.eval.v1", *(d.encode("ascii") for d in metrics_digests)):
+        h.update(len(part).to_bytes(8, "big") + part)
+    return h.hexdigest()
 
 
 def make_report(tmp_path, cache, phase="succeeded"):
@@ -341,6 +360,7 @@ def make_report(tmp_path, cache, phase="succeeded"):
         phase=phase,
         data_digests=tuple(TRIAL_DATA),
         entries=tuple(entries),
+        eval_artifacts={"course000": entries[0].output_digests["metrics.json"]},
     )
 
 
@@ -357,8 +377,19 @@ class TestRecordTrial:
         assert record.trial_id == expected
         assert record.engine_version == ENGINE_VERSION
         assert record.parent_trial_id is None
-        assert record.eval_digest == sha256_bytes(b'{"auc": 0.9}')
+        assert record.eval_digest == eval_digest_of(sha256_bytes(b'{"auc": 0.9}'))
         assert ledger.get(record.trial_id) == record
+
+    def test_eval_digest_covers_every_course_in_course_order(self, tmp_path):
+        cache = CacheStore(tmp_path / "cache")
+        ledger = TrialLedger(tmp_path / "ledger.jsonl")
+        a, b = sha256_bytes(b'{"auc": 0.7}'), sha256_bytes(b'{"auc": 0.8}')
+        report = replace(
+            make_report(tmp_path, cache),
+            eval_artifacts={"course001": b, "course000": a},
+        )
+        record = record_trial(ledger, report, make_manifest(), cache=cache)
+        assert record.eval_digest == eval_digest_of(a, b)
 
     def test_re_record_returns_same_trial(self, tmp_path):
         cache = CacheStore(tmp_path / "cache")

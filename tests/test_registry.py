@@ -174,6 +174,44 @@ class TestRegisterCourse:
         with pytest.raises(RegistryError, match="not a string"):
             r.register_course({"course_id": "c", "sessions": [session]})
 
+    @pytest.mark.parametrize("schema", [[1, {"x": 2}], 5, None, {"v": 1}])
+    def test_platform_schema_must_be_a_string(self, tmp_path, schema):
+        r = Registry(tmp_path / "registry")
+        with pytest.raises(RegistryError, match="platform_schema must be a string"):
+            r.register_course({"course_id": "c", "platform_schema": schema, "sessions": []})
+        assert r.course_ids() == []
+
+    @pytest.mark.parametrize(
+        "course_fields, session_fields, file_fields, unknown",
+        [
+            ({"bogus": 1}, {}, {}, "'bogus'"),
+            ({}, {"start": "2020-01-06"}, {}, "'start'"),
+            ({}, {}, {"size": 4}, "'size'"),
+        ],
+        ids=["course", "session", "file"],
+    )
+    def test_unknown_descriptor_keys_rejected(
+        self, tmp_path, course_fields, session_fields, file_fields, unknown
+    ):
+        r = Registry(tmp_path / "registry")
+        sdir = r.session_dir("c", "s")
+        sdir.mkdir(parents=True)
+        (sdir / "events.csv").write_bytes(b"data")
+        session = {"session_id": "s", "start_date": "2020-01-06", "num_weeks": 5,
+                   "files": [{"path": "events.csv", **file_fields}], **session_fields}
+        descriptor = {"course_id": "c", "sessions": [session], **course_fields}
+        with pytest.raises(RegistryError, match=f"unknown key\\(s\\) {unknown}"):
+            r.register_course(descriptor)
+        assert r.course_ids() == []
+
+    def test_misspelt_sessions_key_rejected(self, tmp_path):
+        # accepted, it would register a course that every selector skips
+        r = Registry(tmp_path / "registry")
+        session = {"session_id": "s", "start_date": "2020-01-06", "num_weeks": 5}
+        with pytest.raises(RegistryError, match="unknown key\\(s\\) 'session'"):
+            r.register_course({"course_id": "c", "session": [session]})
+        assert r.course_ids() == []
+
     @pytest.mark.parametrize("course_id", ["../../outside", "..", ".", "a/b", "a\0b"])
     def test_course_id_is_one_path_component(self, tmp_path, course_id):
         r = Registry(tmp_path / "registry")

@@ -272,10 +272,10 @@ class TestGoldenPlan:
     """Cache keys stay outside determinism_digest(); pin the planned bytes."""
 
     UNITS_JSON_SHA256 = {
-        "holdout": "afc6a3df4e598dd1cedfa6877974b5286ce1aed8f60cd2a4539240adbebac409",
+        "holdout": "b60c9e27381f74d19e396682ea1eba22fb1371c246b14821fa3fa5c141bae859",
         "cross_validation":
-            "3366668499b18fa700167bf700fe0f5a0cba56f88dbd1b6d4a9adc6fe84bcf49",
-        "both": "18a3bf2b37842e07c01be3febdc74fc5f5cdb51235c53eaea3f7ea0e5d0c8b37",
+            "165bd1b76681489e05b2538c0e1f727d2bc554bc96072d48799000aad0ebda0b",
+        "both": "571cddb572f4a4fc3f01c7cc9efb876d6173060af46987dc672119f4c0070da8",
     }
 
     @pytest.mark.parametrize("scheme", sorted(UNITS_JSON_SHA256))

@@ -12,8 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import relab.study as study
-from relab.refpipe import Hyperparams
+import relab.refpipe as refpipe
 from relab.study import StudyConfig, course_pairs, default_study_synth, run_study
 from relab.synthdata import SynthConfig
 
@@ -99,9 +98,9 @@ def child_pids():
     return pids
 
 
-def diverging_hyperparams():
-    """Learning steps this large overflow the weights: every fit raises."""
-    return Hyperparams(learning_rate=1e308, iterations=3)
+def overflowing_solve(H, g):
+    """A Newton step that overflows the weights: every fit raises."""
+    return [float("inf")] * len(g)
 
 
 class TestFitPool:
@@ -123,8 +122,8 @@ class TestFitPool:
     def test_a_fit_that_raises_raises_from_run_study(self, monkeypatch, cpus):
         if cpus == "one":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        # forked workers inherit the patched hyperparameters
-        monkeypatch.setattr(study, "Hyperparams", diverging_hyperparams)
+        # forked workers inherit the patched solve
+        monkeypatch.setattr(refpipe, "_cholesky_solve", overflowing_solve)
         before = child_pids()
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="diverged"):
             run_study(TINY)
