@@ -345,7 +345,7 @@ def record_trial(
     """Register a successful job's outcome under its content-derived id.
 
     ``report`` is any object exposing ``phase``, ``data_digests``,
-    ``entries`` (each entry with unit_id, stage, output_digests) and
+    ``entries`` (each entry with unit_id and output_digests) and
     ``eval_artifacts`` (course id -> metrics digest), which is exactly
     what the scheduler's JobReport provides. ``eval_digest`` hashes
     every course's metrics digest, in course order. The canonical

@@ -31,7 +31,6 @@ SELECTOR_KINDS = ("single_session", "whole_course", "all_courses")
 COURSE_KEYS = ("course_id", "platform_schema", "sessions")
 SESSION_KEYS = ("session_id", "start_date", "num_weeks", "files")
 FILE_KEYS = ("path", "digest")
-DEFAULT_PLATFORM_SCHEMA = "event-log-v1"
 
 
 class RegistryError(Exception):
@@ -288,7 +287,7 @@ class Registry:
         """
         course_id = _id(descriptor, "course_id", "descriptor")
         _known_keys(descriptor, COURSE_KEYS, "descriptor")
-        platform_schema = descriptor.get("platform_schema", DEFAULT_PLATFORM_SCHEMA)
+        platform_schema = descriptor.get("platform_schema", "event-log-v1")
         if not isinstance(platform_schema, str):
             raise RegistryError("descriptor: platform_schema must be a string")
         sessions = []
