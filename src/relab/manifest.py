@@ -215,15 +215,21 @@ def _parse_eval(obj: dict) -> EvalConfig:
     return EvalConfig(**obj)
 
 
+def _reject_constant(name: str):
+    # json.loads reads NaN, Infinity and -Infinity, which are not JSON
+    raise ManifestError(f"{name} is not a JSON number")
+
+
 def parse_manifest(text: str) -> JobManifest:
     """Parse a manifest document, applying documented defaults.
 
     Raises ManifestError with position information for syntax errors and
-    with field names for structural problems; unknown fields anywhere in
-    the document are errors.
+    with field names for structural problems; unknown fields and the
+    non-standard constants ``NaN`` and ``Infinity`` anywhere in the
+    document are errors.
     """
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ManifestError(
             f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -235,8 +241,10 @@ def parse_manifest(text: str) -> JobManifest:
     if not isinstance(stages_obj, list) or len(stages_obj) != 4:
         raise ManifestError("stages must be a list of exactly 4 entries")
     return JobManifest(
-        experiment_name=str(_require(obj, "experiment_name", "manifest")),
-        image_ref=str(_require(obj, "image_ref", "manifest")),
+        experiment_name=_typed(_require(obj, "experiment_name", "manifest"), str,
+                               "experiment_name", "a string"),
+        image_ref=_typed(_require(obj, "image_ref", "manifest"), str,
+                         "image_ref", "a string"),
         stages=tuple(_parse_stage(s, i) for i, s in enumerate(stages_obj)),
         dataset_selector=_parse_selector(_require(obj, "dataset_selector", "manifest")),
         eval_config=_parse_eval(_require(obj, "eval_config", "manifest")),

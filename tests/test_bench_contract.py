@@ -9,6 +9,7 @@ shows in the package's other tests.
 import dataclasses
 import importlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -19,7 +20,8 @@ import pytest
 from relab import ENGINE_VERSION
 from relab.cli import Engine
 from relab.manifest import parse_manifest
-from relab.synthdata import generate_and_register
+from relab.study import StudyConfig, run_study
+from relab.synthdata import SynthConfig, generate_and_register
 
 REPO = Path(__file__).resolve().parent.parent
 BENCH = REPO / "bench"
@@ -45,6 +47,21 @@ def test_every_traced_name_resolves(bench):
         if not callable(obj):
             missing.append(f"{span}: {module}.{attr}")
     assert tracing.TARGETS and missing == []
+
+
+def test_traced_study_equals_the_untraced_one(bench, monkeypatch):
+    # the tracer swaps relab.study.course_pairs for a closure, which the
+    # study's pool must never have to pickle; two CPUs force the pool
+    tracing, _ = bench
+    cfg = StudyConfig(
+        synth=SynthConfig(num_courses=2, learners_per_session=60, seed=3),
+        weeks=(1, 2),
+    )
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    plain = run_study(cfg)
+    with tracing.Tracer().active():
+        traced = run_study(cfg)
+    assert traced == plain
 
 
 def test_bench_manifest_parses(bench):

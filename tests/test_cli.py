@@ -259,6 +259,12 @@ class TestFork:
         assert code == 1
         assert "fork failed" in err
 
+    def test_non_finite_override_exits_1(self, root, submitted, capsys):
+        code, _, err = cli(capsys, "--root", root["state"], "fork",
+                           submitted["trial_id"], "--set", "stages.1.timeout=NaN")
+        assert code == 1
+        assert "NaN is not a JSON number" in err
+
     def test_fork_from_bundle_in_fresh_root(self, root, submitted,
                                             tmp_path, capsys):
         bundle_dir = tmp_path / "bundles"

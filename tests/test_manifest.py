@@ -55,6 +55,8 @@ WRONGLY_TYPED = [  # (field the error names, document)
     pytest.param("command", with_stage(0, command=["python3", 5]), id="command-item"),
     pytest.param("outputs", with_stage(0, outputs="features.csv"), id="outputs-str"),
     pytest.param("name", with_stage(2, name=["test"]), id="name-list"),
+    pytest.param("experiment_name", minimal_doc(experiment_name=None), id="name-null"),
+    pytest.param("image_ref", minimal_doc(image_ref=7), id="image-int"),
     pytest.param(
         "ci_level",
         minimal_doc(eval_config={"scheme": "holdout", "ci_level": "x"}),
@@ -73,6 +75,12 @@ class TestParse:
     def test_wrongly_typed_field_is_a_manifest_error(self, field, doc):
         with pytest.raises(ManifestError, match=field):
             parse_manifest(json.dumps(doc))
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_is_a_manifest_error(self, constant):
+        text = json.dumps(with_stage(1, timeout=1.5)).replace("1.5", constant)
+        with pytest.raises(ManifestError, match=f"{constant} is not a JSON number"):
+            parse_manifest(text)
 
     def test_minimal_document_defaults(self):
         m = parse_manifest(json.dumps(minimal_doc()))

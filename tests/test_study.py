@@ -1,4 +1,4 @@
-"""In-memory study tests: shapes, determinism, config validation, the fit pool."""
+"""In-memory study tests: shapes, determinism, config validation, the course pool."""
 
 import dataclasses
 import glob
@@ -42,6 +42,11 @@ class TestStudyConfig:
             StudyConfig(weeks=(0,))
         with pytest.raises(ValueError):
             StudyConfig(weeks=(TINY.synth.num_weeks,), synth=TINY.synth)
+
+    def test_rejects_repeated_weeks(self):
+        # a repeated week would count every course twice in one test
+        with pytest.raises(ValueError, match="repeat"):
+            StudyConfig(weeks=(1, 1), synth=TINY.synth)
 
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):
