@@ -16,13 +16,13 @@ Example:
 
 import argparse
 import dataclasses
-import json
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from relab.hashing import stable_json
 from relab.study import StudyConfig, default_study_synth, run_study
 
 
@@ -66,9 +66,7 @@ def main():
         for row in report.per_week:
             fh.write(f"{row.week},{row.n_pairs},{row.mean_bias!r},"
                      f"{row.statistic!r},{row.p_value!r},{row.method}\n")
-    (args.out / "summary.json").write_text(
-        json.dumps(report.to_json_obj(), indent=2, sort_keys=True) + "\n"
-    )
+    (args.out / "summary.json").write_text(stable_json(report.to_json_obj()))
 
     print(f"{args.courses} courses, shift sd {args.shift_sd}, seed {args.seed}, "
           f"{elapsed:.0f}s\n")

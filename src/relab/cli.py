@@ -28,6 +28,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+from .hashing import stable_json
 from .manifest import JobManifest, ManifestError, parse_manifest
 from .provenance import (
     CacheStore,
@@ -115,10 +116,6 @@ class Engine:
         if path.is_file():
             return import_bundle(path, self.ledger, self.cache)
         raise ProvenanceError(f"no trial or bundle named {source!r}")
-
-
-def stable_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _phase_exit(phase: str) -> int:

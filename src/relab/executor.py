@@ -31,6 +31,10 @@ directory and log as a spawned one, and ``run_stage`` applies the same
 mount sweep, timeout and checks to it; a custom command or the container
 backend always spawns.
 
+A spawned stage leads a process group of its own, which is killed once
+the stage has ended, so no process the stage started outlives its run.
+A forked stage runs only ``relab.refpipe``, which starts no process.
+
 A stage runs under its ``StageSpec`` timeout, and its declared outputs
 may total at most ``MAX_OUTPUT_BYTES``. Each declared output must be a
 regular file that is reached through real directories: a link, or a path
@@ -297,22 +301,37 @@ def _run_subprocess(
     log: BinaryIO,
     timeout: float,
 ) -> Tuple[int, bool, str]:
-    """Spawn the stage command; returns (exit code, timed out, cause)."""
+    """Spawn the stage command; returns (exit code, timed out, cause).
+
+    The stage leads a session, and so a process group, of its own. A
+    stage still running at ``timeout`` gets a terminate to its group and
+    ``TIMEOUT_GRACE_SECONDS`` of grace. Then, before the stage process is
+    reaped (so its group id cannot have been reused), the group is
+    killed: a process the stage left behind ends with it.
+    """
     proc = subprocess.Popen(
-        command, cwd=cwd, env=env, stdout=log, stderr=subprocess.STDOUT
+        command, cwd=cwd, env=env, stdout=log, stderr=subprocess.STDOUT,
+        start_new_session=True,
     )
-    timed_out = False
+    # readable once the stage has exited, which leaves it unreaped
+    pidfd = os.pidfd_open(proc.pid)
     try:
-        proc.wait(timeout=timeout)
-    except subprocess.TimeoutExpired:
-        timed_out = True
-        proc.terminate()
-        try:
-            proc.wait(timeout=TIMEOUT_GRACE_SECONDS)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
+        timed_out = not _wait_readable(pidfd, time.monotonic() + timeout)
+        if timed_out:
+            _kill_group(proc.pid, signal.SIGTERM)
+            _wait_readable(pidfd, time.monotonic() + TIMEOUT_GRACE_SECONDS)
+        _kill_group(proc.pid, signal.SIGKILL)
+    finally:
+        os.close(pidfd)
+    proc.wait()
     return proc.returncode, timed_out, ""
+
+
+def _kill_group(pgid: int, sig: int) -> None:
+    try:
+        os.killpg(pgid, sig)
+    except ProcessLookupError:
+        pass
 
 
 def run_stage(
@@ -489,20 +508,19 @@ def _read_outputs(
 
 
 def collect_outputs(
-    result: StageResult,
+    outputs: Mapping[str, bytes],
     policy: AccessPolicy,
     dest_dir: Path,
 ) -> Tuple[Tuple[str, ...], Tuple[ExportDecision, ...]]:
-    """Write the allowlisted declared outputs of a successful stage.
+    """Write what ``policy`` lets a unit export of its ``outputs``.
 
-    The bytes are the ones ``run_stage`` read and hashed. Returns
-    (exported relative paths, full decision list). Denied paths are
-    recorded with their reasons and never written.
+    ``outputs`` is the bytes by relative path: an executed unit's
+    ``StageResult.outputs``, or a cached unit's blobs, so both export the
+    same files. Returns (exported relative paths, full decision list).
+    Denied paths are recorded with their reasons and never written.
     """
-    if result.status != STATUS_SUCCEEDED:
-        raise ExecutorError("collect_outputs requires a succeeded result")
     dest_dir = Path(dest_dir)
-    sizes = {rel: len(data) for rel, data in result.outputs.items()}
+    sizes = {rel: len(data) for rel, data in outputs.items()}
     decisions = check_export(sizes, policy)
     exported = []
     dest_dir.mkdir(parents=True, exist_ok=True)
@@ -511,7 +529,7 @@ def collect_outputs(
             continue
         dst = dest_dir / decision.path
         dst.parent.mkdir(parents=True, exist_ok=True)
-        dst.write_bytes(result.outputs[decision.path])
+        dst.write_bytes(outputs[decision.path])
         exported.append(decision.path)
     return tuple(exported), decisions
 

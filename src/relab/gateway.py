@@ -28,7 +28,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
-from .cli import stable_json
+from .hashing import stable_json
 from .manifest import JobManifest, ManifestError, parse_manifest
 from .provenance import ProvenanceError, export_bundle
 from .scheduler import SchedulerError

@@ -72,6 +72,15 @@ def canonical_json_bytes(obj: object) -> bytes:
     ).encode("utf-8")
 
 
+def stable_json(obj: object) -> str:
+    """Indented JSON for people to read: sorted keys, a final newline.
+
+    A manifest document, the CLI's and the HTTP gateway's bodies and a
+    study summary are all written this way.
+    """
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def is_hex_digest(value: str) -> bool:
     return (
         isinstance(value, str)

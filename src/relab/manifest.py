@@ -20,12 +20,12 @@ from dataclasses import asdict, dataclass, fields
 from typing import Optional, Tuple
 
 from .evalstats import session_roles
-from .hashing import canonical_json_bytes
+from .hashing import canonical_json_bytes, stable_json
 from .registry import DatasetSelector, Registry, RegistryError
 
 STAGE_ORDER = ("extract", "train", "test", "evaluate")
 EVAL_SCHEMES = ("holdout", "cross_validation", "both")
-CV_POOLINGS = ("pooled", "fold_mean")
+CV_POOLINGS = ("pooled",)
 
 DEFAULT_STAGE_COMMAND = ("python3", "-m", "relab.refpipe")
 DEFAULT_STAGE_TIMEOUT = 600.0
@@ -256,7 +256,7 @@ def parse_manifest(text: str) -> JobManifest:
 
 def render_manifest(m: JobManifest) -> str:
     """Human-readable document that parses back to an equal manifest."""
-    return json.dumps(asdict(m), indent=2, sort_keys=True) + "\n"
+    return stable_json(asdict(m))
 
 
 def canonicalize(m: JobManifest) -> bytes:

@@ -210,51 +210,31 @@ class CacheStore:
             raise IntegrityError(f"blob corrupt on disk: {path}")
         return data
 
-    def put(
-        self,
-        key: str,
-        output_digests: Mapping[str, str],
-        src: Path | Mapping[str, bytes],
-    ) -> CacheEntry:
-        """Store a finished unit's outputs. Idempotent for identical content.
+    def put(self, key: str, outputs: Mapping[str, bytes]) -> CacheEntry:
+        """Store a finished unit's outputs, their bytes by relative path.
 
-        ``src`` is the directory that holds the outputs, or their bytes by
-        relative path.
-
-        The same key bound to different digests means a stage was not
-        deterministic (or the key omitted an input); that is an integrity
-        error, never an overwrite, also when the other writer published
-        its entry between this one's lookup and its own publish.
+        Idempotent for identical content. The same key bound to different
+        outputs means a stage was not deterministic (or the key omitted an
+        input); that is an integrity error, never an overwrite, also when
+        the other writer published its entry between this one's lookup and
+        its own publish.
         """
         _require_digest(key, "cache key")
-        size = 0
-        payload = {}
-        for rel, digest in sorted(output_digests.items()):
-            if isinstance(src, Mapping):
-                data = src[rel]
-            else:
-                data = (Path(src) / rel).read_bytes()
-            actual = sha256_bytes(data)
-            if actual != digest:
-                raise IntegrityError(
-                    f"{rel}: claimed digest {digest} but bytes hash to {actual}"
-                )
-            payload[rel] = data
-            size += len(data)
+        output_digests = {rel: sha256_bytes(data) for rel, data in outputs.items()}
         entry = self.get(key)
         if entry is None:
-            for data in payload.values():
+            for data in outputs.values():
                 self.put_blob(data)
             entry = CacheEntry(
                 key=key,
-                output_digests=dict(output_digests),
+                output_digests=output_digests,
                 created_at=_utc_now(),
-                size_bytes=size,
+                size_bytes=sum(len(data) for data in outputs.values()),
             )
             path = self._entry_path(key)
             stored = write_once(path, canonical_json_bytes(asdict(entry)))
             entry = self._parse_entry(path, stored)
-        if entry.output_digests != dict(output_digests):
+        if entry.output_digests != output_digests:
             raise IntegrityError(f"cache key {key} already bound to different outputs")
         return entry
 

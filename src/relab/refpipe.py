@@ -769,11 +769,8 @@ def _stage_evaluate(data_dir: Path, output_dir: Path, params: dict) -> None:
                 read_predictions_csv(fold_dir / PREDICTIONS_FILE)[1:]
                 for fold_dir in sorted(preds_dir.glob("cv_fold_*"))
             ]
-            if params.get("cv_pooling", "pooled") == "pooled":
-                value = auc(np.concatenate([s for s, _ in folds]),
-                            np.concatenate([y for _, y in folds]))
-            else:
-                value = float(np.mean([auc(s, y) for s, y in folds]))
+            value = auc(np.concatenate([s for s, _ in folds]),
+                        np.concatenate([y for _, y in folds]))
             n = sum(len(y) for _, y in folds)
             rows.append({"scheme": scheme, "auc": value, "n": n})
         else:

@@ -70,7 +70,7 @@ from .manifest import JobManifest, canonicalize, parse_manifest, render_manifest
 from .manifest import validate_manifest
 from .provenance import CacheEntry, CacheStore, cache_key
 from .refpipe import Hyperparams
-from .registry import AccessPolicy, Registry, check_export, check_file_digest
+from .registry import AccessPolicy, Registry, check_file_digest
 
 TERMINAL_PHASES = ("succeeded", "failed", "partial", "cancelled")
 
@@ -603,7 +603,13 @@ class Scheduler:
                     unit = units_by_id[heapq.heappop(ready)[-1]]
                     entry = self.cache.get(unit.cache_key)
                     if entry is not None:
-                        self._export_cached(entry, self._results_dir(job, unit))
+                        outputs = {
+                            rel: self.cache.get_blob(digest)
+                            for rel, digest in entry.output_digests.items()
+                        }
+                        collect_outputs(
+                            outputs, self.policy, self._results_dir(job, unit)
+                        )
                         finish(unit.unit_id, UNIT_CACHED, _cached(entry))
                     else:
                         job.set_unit_state(unit.unit_id, UNIT_RUNNING)
@@ -624,20 +630,6 @@ class Scheduler:
 
     def _results_dir(self, job: _Job, unit: WorkUnit) -> Path:
         return job.dir / "results" / unit.unit_id
-
-    def _export_cached(self, entry: CacheEntry, dest: Path) -> None:
-        """Export what the policy lets an executed unit export, from blobs.
-
-        The quota is charged with the blobs' sizes, which are the sizes of
-        the output files they were stored from.
-        """
-        digests = entry.output_digests
-        sizes = {
-            rel: self.cache.blob_path(d).stat().st_size for rel, d in digests.items()
-        }
-        decisions = check_export(sizes, self.policy)
-        exported = {d.path: digests[d.path] for d in decisions if d.allowed}
-        self.cache.materialize(replace(entry, output_digests=exported), dest)
 
     def _run_unit(
         self,
@@ -685,8 +677,10 @@ class Scheduler:
         )
         if result.status == STATUS_SUCCEEDED:
             # the bytes run_stage read and hashed, never the paths again
-            collect_outputs(result, self.policy, self._results_dir(job, unit))
-            self.cache.put(unit.cache_key, result.output_digests, result.outputs)
+            collect_outputs(
+                result.outputs, self.policy, self._results_dir(job, unit)
+            )
+            self.cache.put(unit.cache_key, result.outputs)
             shutil.rmtree(work, ignore_errors=True)
         return replace(result, outputs={})
 
@@ -710,13 +704,17 @@ class Scheduler:
                 target.parent.mkdir(parents=True, exist_ok=True)
                 target.write_bytes(content)
         for dep in deps:
-            entry = self.cache.get(dep.cache_key)
-            if entry is None:
-                raise SchedulerError(f"outputs of {dep.unit_id} missing from cache")
-            self.cache.materialize(entry, data / _input_dir(dep))
+            self.cache.materialize(self._entry(dep), data / _input_dir(dep))
         (data / "params.json").write_bytes(
             canonical_json_bytes(dict(unit.params))
         )
+
+    def _entry(self, unit: WorkUnit) -> CacheEntry:
+        """The cache entry of a settled unit, whose outputs the cache holds."""
+        entry = self.cache.get(unit.cache_key)
+        if entry is None:
+            raise SchedulerError(f"outputs of {unit.unit_id} missing from cache")
+        return entry
 
     # -- reporting ---------------------------------------------------------------
 
@@ -767,8 +765,9 @@ class Scheduler:
                 continue
             if job.unit_states.get(unit.unit_id) not in _SETTLED:
                 continue
-            metrics_path = self._results_dir(job, unit) / "metrics.json"
-            obj = json.loads(metrics_path.read_text())
+            # the unit's own output, which the export policy may withhold
+            digest = self._entry(unit).output_digests["metrics.json"]
+            obj = json.loads(self.cache.get_blob(digest))
             for row in obj["rows"]:
                 rows.append(
                     EvalRow(

@@ -12,6 +12,15 @@ import relab
 import relab.executor as executor
 
 
+def exited(pid):
+    """Whether process ``pid`` has ended: it is gone or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
 @pytest.fixture
 def spawned(monkeypatch):
     """Commands run through the subprocess path while the test runs."""

@@ -267,7 +267,7 @@ def test_criterion_5_sandbox_policy(tmp_path):
     result = run_stage(exfiltrating, sandbox(), backend)
     assert result.status == STATUS_SUCCEEDED
     exported, decisions = collect_outputs(
-        result, AccessPolicy(), dirs["dest"]
+        result.outputs, AccessPolicy(), dirs["dest"]
     )
     denied = {d.path: d for d in decisions if not d.allowed}
     assert exported == ()

@@ -1,5 +1,6 @@
 """Tests for sandboxed stage execution."""
 
+import contextlib
 import hashlib
 import json
 import os
@@ -37,6 +38,8 @@ from relab.manifest import DEFAULT_STAGE_COMMAND, StageSpec
 from relab.refpipe import Hyperparams
 from relab.registry import AccessPolicy
 from relab.synthdata import SynthConfig, generate_session
+
+from conftest import exited
 
 
 def make_sandbox(tmp_path, **overrides):
@@ -309,29 +312,19 @@ class TestRunStage:
         assert result.outputs == {}
 
     def test_output_swapped_for_a_link_after_the_stage_is_not_read(self, tmp_path):
-        # a process the stage leaves behind waits for ``go``, then swaps the
-        # output for a link to a host file; export and cache still get the
-        # bytes that were hashed
+        # once the stage has run, its output is swapped for a link to a host
+        # file; export and cache still get the bytes that were hashed
         host = tmp_path / "host.csv"
         host.write_text("not the stage's\n")
-        go, done = tmp_path / "go", tmp_path / "done"
         sb = make_sandbox(tmp_path)
-        stage = sh_stage(
-            f'(i=0; while [ ! -e {go} ] && [ $i -lt 500 ]; do sleep 0.01; '
-            f'i=$((i+1)); done; ln -sf {host} "$OUTPUT_DIR/x.csv"; touch {done}) '
-            '>/dev/null 2>&1 & printf own > "$OUTPUT_DIR/x.csv"',
-            outputs=["x.csv"],
-        )
+        stage = sh_stage('printf own > "$OUTPUT_DIR/x.csv"', outputs=["x.csv"])
         result = run_stage(stage, sb, BACKEND)
         assert result.status == STATUS_SUCCEEDED
-        go.touch()
-        deadline = time.monotonic() + 10.0
-        while not done.exists() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert (sb.output_dir / "x.csv").is_symlink()
-        collect_outputs(result, AccessPolicy(), tmp_path / "results")
+        (sb.output_dir / "x.csv").unlink()
+        (sb.output_dir / "x.csv").symlink_to(host)
+        collect_outputs(result.outputs, AccessPolicy(), tmp_path / "results")
         store = CacheStore(tmp_path / "cache")
-        entry = store.put("ab" * 32, result.output_digests, result.outputs)
+        entry = store.put("ab" * 32, result.outputs)
         assert (tmp_path / "results" / "x.csv").read_bytes() == b"own"
         assert store.get_blob(entry.output_digests["x.csv"]) == b"own"
 
@@ -349,6 +342,35 @@ class TestRunStage:
         result = run_stage(stage, sb, BACKEND)
         assert result.status == STATUS_TIMEOUT
         assert result.duration < 10.0
+
+    @pytest.mark.parametrize(
+        "end, timeout, status",
+        [
+            pytest.param('printf x > "$OUTPUT_DIR/x.csv"', 30.0, STATUS_SUCCEEDED,
+                         id="clean-exit"),
+            pytest.param("sleep 30", 0.5, STATUS_TIMEOUT, id="timeout"),
+        ],
+    )
+    def test_background_child_ends_with_the_stage(
+        self, tmp_path, end, timeout, status
+    ):
+        pid_file = tmp_path / "child.pid"
+        sb = make_sandbox(tmp_path)
+        stage = sh_stage(
+            f"sleep 30 & echo $! > {pid_file}; {end}", outputs=["x.csv"],
+            timeout=timeout,
+        )
+        result = run_stage(stage, sb, BACKEND)
+        pid = int(pid_file.read_text())
+        try:
+            assert result.status == status
+            deadline = time.monotonic() + 10.0
+            while not exited(pid) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert exited(pid)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
 
     @pytest.mark.parametrize(
         "create",
@@ -699,7 +721,7 @@ class TestCollectOutputs:
         )
         dest = tmp_path / "store"
         exported, decisions = collect_outputs(
-            result, AccessPolicy(), dest
+            result.outputs, AccessPolicy(), dest
         )
         assert set(exported) == {"metrics.json", "p.csv"}
         assert (dest / "metrics.json").read_text() == "m"
@@ -713,7 +735,7 @@ class TestCollectOutputs:
         )
         dest = tmp_path / "store"
         exported, decisions = collect_outputs(
-            result, AccessPolicy(), dest
+            result.outputs, AccessPolicy(), dest
         )
         assert exported == ("metrics.json",)
         denied = {d.path: d.reason for d in decisions if not d.allowed}
@@ -728,14 +750,8 @@ class TestCollectOutputs:
         )
         policy = AccessPolicy(max_export_bytes=9)
         exported, decisions = collect_outputs(
-            result, policy, tmp_path / "store"
+            result.outputs, policy, tmp_path / "store"
         )
         assert exported == ("a.csv",)
         reasons = {d.path: d.reason for d in decisions if not d.allowed}
         assert "quota" in reasons["b.csv"]
-
-    def test_requires_success(self, tmp_path):
-        sb = make_sandbox(tmp_path)
-        result = run_stage(sh_stage("exit 1", outputs=["x.csv"]), sb, BACKEND)
-        with pytest.raises(ExecutorError, match="succeeded"):
-            collect_outputs(result, AccessPolicy(), tmp_path / "d")

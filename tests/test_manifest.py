@@ -146,6 +146,13 @@ class TestParse:
         with pytest.raises(ManifestError, match="64-bit"):
             parse_manifest(json.dumps(minimal_doc(seed=2**64)))
 
+    def test_fold_mean_pooling_is_refused(self):
+        doc = minimal_doc(
+            eval_config={"scheme": "both", "k": 3, "cv_pooling": "fold_mean"}
+        )
+        with pytest.raises(ManifestError, match="'fold_mean'"):
+            parse_manifest(json.dumps(doc))
+
     def test_cv_requires_k(self):
         doc = minimal_doc(eval_config={"scheme": "both"})
         with pytest.raises(ManifestError, match="k >= 2"):
@@ -198,7 +205,7 @@ eval_configs = st.one_of(
         scheme=st.sampled_from(["cross_validation", "both"]),
         k=st.integers(2, 10),
         ci_level=st.sampled_from([0.9, 0.95]),
-        cv_pooling=st.sampled_from(["pooled", "fold_mean"]),
+        cv_pooling=st.just("pooled"),
     ),
 )
 

@@ -122,24 +122,15 @@ class TestTrialId:
 
 
 class TestCacheStore:
-    def make_outputs(self, tmp_path, files):
-        src = tmp_path / "unit_out"
-        src.mkdir(parents=True, exist_ok=True)
-        digests = {}
-        for rel, data in files.items():
-            (src / rel).write_bytes(data)
-            digests[rel] = sha256_bytes(data)
-        return src, digests
-
     def test_get_on_empty_absent(self, tmp_path):
         store = CacheStore(tmp_path / "cache")
         assert store.get("ab" * 32) is None
 
     def test_put_then_get_round_trip(self, tmp_path):
         store = CacheStore(tmp_path / "cache")
-        src, digests = self.make_outputs(tmp_path, {"m.json": b'{"auc":1}'})
+        outputs = {"m.json": b'{"auc":1}'}
         key = "cd" * 32
-        entry = store.put(key, digests, src)
+        entry = store.put(key, outputs)
         assert entry.key == key
         assert entry.size_bytes == len(b'{"auc":1}')
         fetched = store.get(key)
@@ -147,33 +138,25 @@ class TestCacheStore:
 
     def test_put_is_idempotent(self, tmp_path):
         store = CacheStore(tmp_path / "cache")
-        src, digests = self.make_outputs(tmp_path, {"m.json": b"data"})
+        outputs = {"m.json": b"data"}
         key = "cd" * 32
-        first = store.put(key, digests, src)
-        second = store.put(key, digests, src)
+        first = store.put(key, outputs)
+        second = store.put(key, outputs)
         assert second == first  # created_at of the first write survives
 
     def test_conflicting_put_is_integrity_error(self, tmp_path):
         store = CacheStore(tmp_path / "cache")
-        src, digests = self.make_outputs(tmp_path, {"m.json": b"data"})
+        outputs = {"m.json": b"data"}
         key = "cd" * 32
-        store.put(key, digests, src)
-        src2, digests2 = self.make_outputs(tmp_path / "b", {"m.json": b"DIFFERENT"})
+        store.put(key, outputs)
         with pytest.raises(IntegrityError, match="different outputs"):
-            store.put(key, digests2, src2)
-
-    def test_put_verifies_claimed_digests(self, tmp_path):
-        store = CacheStore(tmp_path / "cache")
-        src, _ = self.make_outputs(tmp_path, {"m.json": b"data"})
-        wrong = {"m.json": sha256_bytes(b"other")}
-        with pytest.raises(IntegrityError, match="m.json"):
-            store.put("cd" * 32, wrong, src)
+            store.put(key, {"m.json": b"DIFFERENT"})
 
     def test_entry_that_does_not_parse_is_integrity_error(self, tmp_path):
         store = CacheStore(tmp_path / "cache")
-        src, digests = self.make_outputs(tmp_path, {"m.json": b"data"})
+        outputs = {"m.json": b"data"}
         key = "cd" * 32
-        store.put(key, digests, src)
+        store.put(key, outputs)
         path = store.entries_dir / f"{key}.json"
         whole = path.read_bytes()
         for torn in (whole[: len(whole) // 2], b"", b"[]", b'{"key": 1}'):
@@ -181,12 +164,12 @@ class TestCacheStore:
             with pytest.raises(IntegrityError, match="cache entry corrupt on disk"):
                 store.get(key)
             with pytest.raises(IntegrityError, match="cache entry corrupt on disk"):
-                store.put(key, digests, src)
+                store.put(key, outputs)
 
     def test_entry_for_another_key_is_integrity_error(self, tmp_path):
         store = CacheStore(tmp_path / "cache")
-        src, digests = self.make_outputs(tmp_path, {"m.json": b"data"})
-        store.put("cd" * 32, digests, src)
+        outputs = {"m.json": b"data"}
+        store.put("cd" * 32, outputs)
         moved = store.entries_dir / f"{'ef' * 32}.json"
         (store.entries_dir / f"{'cd' * 32}.json").rename(moved)
         with pytest.raises(IntegrityError, match=f"corrupt on disk: {moved}"):
@@ -195,8 +178,7 @@ class TestCacheStore:
     def test_materialize_restores_bytes(self, tmp_path):
         store = CacheStore(tmp_path / "cache")
         files = {"a.csv": b"1,2\n", "sub.json": b"{}"}
-        src, digests = self.make_outputs(tmp_path, files)
-        entry = store.put("ab" * 32, digests, src)
+        entry = store.put("ab" * 32, files)
         dest = tmp_path / "restore"
         store.materialize(entry, dest)
         for rel, data in files.items():
@@ -204,9 +186,8 @@ class TestCacheStore:
 
     def test_materialize_detects_corrupt_blob(self, tmp_path):
         store = CacheStore(tmp_path / "cache")
-        src, digests = self.make_outputs(tmp_path, {"a.csv": b"payload"})
-        entry = store.put("ab" * 32, digests, src)
-        blob = store.blob_path(digests["a.csv"])
+        entry = store.put("ab" * 32, {"a.csv": b"payload"})
+        blob = store.blob_path(entry.output_digests["a.csv"])
         blob.write_bytes(b"tampered")
         with pytest.raises(IntegrityError, match="corrupt"):
             store.materialize(entry, tmp_path / "restore")
@@ -223,7 +204,8 @@ class TestCacheStore:
         self, tmp_path, monkeypatch, failing_write
     ):
         store = CacheStore(tmp_path / "cache")
-        src, digests = self.make_outputs(tmp_path, {"a.csv": b"payload" * 100})
+        outputs = {"a.csv": b"payload" * 100}
+        digests = {"a.csv": sha256_bytes(outputs["a.csv"])}
         key = "ab" * 32
         real_fdopen = os.fdopen
         writes = []
@@ -250,7 +232,7 @@ class TestCacheStore:
             os, "fdopen", lambda fd, mode: TornFile(real_fdopen(fd, mode))
         )
         with pytest.raises(OSError, match="mid-write"):
-            store.put(key, digests, src)
+            store.put(key, outputs)
         monkeypatch.undo()
 
         blob = store.blob_path(digests["a.csv"])
@@ -259,7 +241,7 @@ class TestCacheStore:
         assert not (store.entries_dir / f"{key}.json").exists()
         assert not list(store.root.rglob("*.tmp"))
 
-        entry = store.put(key, digests, src)
+        entry = store.put(key, outputs)
         assert store.get(key) == entry
         assert entry.output_digests == digests
         assert store.get_blob(digests["a.csv"]) == b"payload" * 100
@@ -270,8 +252,6 @@ class TestCacheStore:
         # two stores on one root, as two processes would hold them; each
         # looks for the entry before the other has published it
         first, second = CacheStore(tmp_path / "cache"), CacheStore(tmp_path / "cache")
-        src_a, digests_a = self.make_outputs(tmp_path / "a", {"m.json": b"A"})
-        src_b, digests_b = self.make_outputs(tmp_path / "b", {"m.json": b"B"})
         key = "cd" * 32
         entries = first.entries_dir
         for name in ("exists", "is_file"):
@@ -280,11 +260,13 @@ class TestCacheStore:
                 Path, name,
                 lambda path, real=real: path.parent != entries and real(path),
             )
-        first.put(key, digests_a, src_a)
+        first.put(key, {"m.json": b"A"})
         with pytest.raises(IntegrityError, match="different outputs"):
-            second.put(key, digests_b, src_b)
+            second.put(key, {"m.json": b"B"})
         monkeypatch.undo()
-        assert CacheStore(tmp_path / "cache").get(key).output_digests == digests_a
+        assert CacheStore(tmp_path / "cache").get(key).output_digests == {
+            "m.json": sha256_bytes(b"A")
+        }
 
     def test_concurrent_writer_processes_share_one_store(self, tmp_path):
         # more writers than cores, each storing the same blobs in the same

@@ -127,13 +127,8 @@ def test_ledger_line_bytes(tmp_path):
 def test_cache_entry_bytes(tmp_path, monkeypatch):
     monkeypatch.setattr(provenance, "_utc_now", lambda: CREATED_AT)
     store = CacheStore(tmp_path / "cache")
-    src = tmp_path / "out"
-    src.mkdir()
     files = {"predictions.csv": b"learner,score\n1,0.5\n", "model.json": b"{}"}
-    for rel, data in files.items():
-        (src / rel).write_bytes(data)
-    digests = {rel: sha256_bytes(data) for rel, data in files.items()}
-    store.put("12" * 32, digests, src)
+    store.put("12" * 32, files)
     (entry,) = store.entries_dir.iterdir()
     assert sha256_bytes(entry.read_bytes()) == CACHE_ENTRY_SHA
 

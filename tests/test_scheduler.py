@@ -23,7 +23,7 @@ from relab.manifest import (
     default_manifest,
     validate_manifest,
 )
-from relab.registry import DatasetSelector, Registry
+from relab.registry import AccessPolicy, DatasetSelector, Registry, check_export
 from relab.scheduler import (
     JobState,
     Scheduler,
@@ -39,6 +39,8 @@ from relab.scheduler import (
 )
 from relab.study import StudyConfig, course_pairs
 from relab.synthdata import SynthConfig, generate_and_register, generate_corpus
+
+from conftest import exited
 
 CORPUS = SynthConfig(
     num_courses=2,
@@ -1112,18 +1114,33 @@ def with_extract_command(manifest, command, extra_output):
     ))
 
 
+HOLDOUT_COURSE000 = make_manifest(
+    "holdout", selector=DatasetSelector(kind="whole_course", course_id="course000")
+)
+
+
 class TestCacheHitExports:
-    def test_cached_rerun_exports_what_a_run_exports(self, corpus_registry, tmp_path):
+    # course000's extracts write about 1.2 kB of features.csv, then 0.7 kB
+    # of labels.csv, and its test 1.3 kB of predictions.csv: a 1200-byte
+    # quota denies the last two
+    @pytest.mark.parametrize(
+        "policy, reasons",
+        [
+            (AccessPolicy(), {"not allowlisted"}),
+            (AccessPolicy(max_export_bytes=1200), {"not allowlisted", "quota"}),
+        ],
+        ids=["default", "quota"],
+    )
+    def test_cached_rerun_exports_what_a_run_exports(
+        self, corpus_registry, tmp_path, policy, reasons
+    ):
         manifest = with_extract_command(
-            make_manifest(
-                "holdout",
-                selector=DatasetSelector(kind="whole_course", course_id="course000"),
-            ),
+            HOLDOUT_COURSE000,
             ("/bin/sh", "-c",
              'python3 -m relab.refpipe && echo raw > "$OUTPUT_DIR/raw.dat"'),
             "raw.dat",
         )
-        sched = Scheduler(tmp_path, corpus_registry)
+        sched = Scheduler(tmp_path, corpus_registry, policy=policy)
         trees = []
         for _ in range(2):
             job_id = sched.submit(manifest)
@@ -1138,8 +1155,35 @@ class TestCacheHitExports:
         assert report.cache_hits == len(report.entries)
         extracts = [e for e in report.entries if e.stage == "extract"]
         assert all("raw.dat" in e.output_digests for e in extracts)
-        assert not any(path.endswith("raw.dat") for path in trees[0])
+        denied = {}
+        for e in report.entries:
+            sizes = {
+                rel: len(sched.cache.get_blob(digest))
+                for rel, digest in e.output_digests.items()
+            }
+            for decision in check_export(sizes, policy):
+                if not decision.allowed:
+                    denied[f"{e.unit_id}/{decision.path}"] = decision.reason
+        assert set(denied.values()) == reasons
+        assert trees[0] and not set(denied) & set(trees[0])
         assert trees[1] == trees[0]
+
+
+class TestExportPolicyKeepsTheReport:
+    def test_eval_report_reads_a_metrics_file_the_policy_withholds(
+        self, corpus_registry, tmp_path
+    ):
+        reports = []
+        for name, policy in (("default", AccessPolicy()),
+                             ("csv-only", AccessPolicy(export_allowlist=("*.csv",)))):
+            sched = Scheduler(tmp_path / name, corpus_registry, policy=policy)
+            job_id = sched.submit(HOLDOUT_COURSE000)
+            sched.plan(job_id)
+            assert sched.execute(job_id).phase == "succeeded"
+            reports.append(sched.eval_report(job_id).to_csv())
+        results = sched.jobs_dir / job_id / "results"
+        assert not list(results.rglob("metrics.json"))
+        assert reports[1] == reports[0]
 
 
 class TestDataDrift:
@@ -1194,15 +1238,6 @@ def process_zygote(monkeypatch):
     monkeypatch.setattr(scheduler_module, "process_zygote", lambda: zygote)
     yield zygote
     zygote.close()
-
-
-def exited(pid):
-    """Whether process ``pid`` has ended: it is gone or a zombie."""
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rpartition(")")[2].split()[0] == "Z"
-    except FileNotFoundError:
-        return True
 
 
 def assert_gone(pids):
