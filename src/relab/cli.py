@@ -169,7 +169,7 @@ def cmd_status(engine: Engine, args) -> int:
 def cmd_results(engine: Engine, args) -> int:
     try:
         report = engine.scheduler.eval_report(args.job_id)
-    except SchedulerError as exc:
+    except (SchedulerError, ProvenanceError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
     if args.format == "csv":

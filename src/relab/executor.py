@@ -519,19 +519,14 @@ def collect_outputs(
     same files. Returns (exported relative paths, full decision list).
     Denied paths are recorded with their reasons and never written.
     """
-    dest_dir = Path(dest_dir)
-    sizes = {rel: len(data) for rel, data in outputs.items()}
-    decisions = check_export(sizes, policy)
-    exported = []
-    dest_dir.mkdir(parents=True, exist_ok=True)
-    for decision in decisions:
-        if not decision.allowed:
-            continue
-        dst = dest_dir / decision.path
+    decisions = check_export({rel: len(data) for rel, data in outputs.items()}, policy)
+    exported = tuple(d.path for d in decisions if d.allowed)
+    Path(dest_dir).mkdir(parents=True, exist_ok=True)
+    for rel in exported:
+        dst = Path(dest_dir, rel)
         dst.parent.mkdir(parents=True, exist_ok=True)
-        dst.write_bytes(outputs[decision.path])
-        exported.append(decision.path)
-    return tuple(exported), decisions
+        dst.write_bytes(outputs[rel])
+    return exported, decisions
 
 
 # ---------------------------------------------------------------------------

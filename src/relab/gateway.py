@@ -146,7 +146,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:  # a job not terminal yet raises here too
             report = scheduler.eval_report(job_id)
-        except (SchedulerError, OSError) as exc:
+        except (SchedulerError, ProvenanceError, OSError) as exc:
             self._send_json(409, {"error": str(exc), "phase": state.phase})
             return
         fmt = query.get("format", ["json"])[0]

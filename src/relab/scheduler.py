@@ -603,13 +603,10 @@ class Scheduler:
                     unit = units_by_id[heapq.heappop(ready)[-1]]
                     entry = self.cache.get(unit.cache_key)
                     if entry is not None:
-                        outputs = {
+                        self._export(job, unit, {
                             rel: self.cache.get_blob(digest)
                             for rel, digest in entry.output_digests.items()
-                        }
-                        collect_outputs(
-                            outputs, self.policy, self._results_dir(job, unit)
-                        )
+                        })
                         finish(unit.unit_id, UNIT_CACHED, _cached(entry))
                     else:
                         job.set_unit_state(unit.unit_id, UNIT_RUNNING)
@@ -628,8 +625,9 @@ class Scheduler:
 
     # -- unit execution ---------------------------------------------------------
 
-    def _results_dir(self, job: _Job, unit: WorkUnit) -> Path:
-        return job.dir / "results" / unit.unit_id
+    def _export(self, job: _Job, unit: WorkUnit, outputs: Mapping[str, bytes]) -> None:
+        """Write what the policy lets ``unit`` export into ``results/``."""
+        collect_outputs(outputs, self.policy, job.dir / "results" / unit.unit_id)
 
     def _run_unit(
         self,
@@ -677,9 +675,7 @@ class Scheduler:
         )
         if result.status == STATUS_SUCCEEDED:
             # the bytes run_stage read and hashed, never the paths again
-            collect_outputs(
-                result.outputs, self.policy, self._results_dir(job, unit)
-            )
+            self._export(job, unit, result.outputs)
             self.cache.put(unit.cache_key, result.outputs)
             shutil.rmtree(work, ignore_errors=True)
         return replace(result, outputs={})

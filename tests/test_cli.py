@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -191,6 +192,18 @@ class TestResults:
     def test_unknown_job_exits_1(self, root, capsys):
         code, _, _ = cli(capsys, "--root", root["state"], "results", "job-424242")
         assert code == 1
+
+    def test_corrupt_metrics_blob_exits_1(self, root, submitted, tmp_path, capsys):
+        # the report reads each evaluate unit's metrics.json from the cache
+        state = tmp_path / "state"
+        shutil.copytree(root["state"], state)
+        job_dir = state / "engine" / "jobs" / submitted["job_id"]
+        digest = next(iter(json.loads((job_dir / "report.json").read_text())
+                           ["eval_artifacts"].values()))
+        Engine(state).scheduler.cache.blob_path(digest).write_bytes(b"tampered")
+        code, _, err = cli(capsys, "--root", state, "results", submitted["job_id"])
+        assert code == 1
+        assert "blob corrupt on disk" in err
 
 
 class TestFork:
