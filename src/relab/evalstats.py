@@ -12,7 +12,7 @@ import csv
 import io
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -241,9 +241,7 @@ def _wilcoxon_normal_p(d: np.ndarray) -> float:
     return min(1.0, 2.0 * sf)
 
 
-def wilcoxon_signed_rank(
-    diffs: Union[Sequence[float], PairedSample],
-) -> StatTestResult:
+def wilcoxon_signed_rank(diffs: Sequence[float]) -> StatTestResult:
     """Two-sided Wilcoxon signed-rank test on paired differences.
 
     Zero differences are dropped before ranking. With at most
@@ -252,10 +250,7 @@ def wilcoxon_signed_rank(
     the tie-corrected normal approximation with continuity correction.
     An empty effective sample yields statistic 0 and p-value 1.
     """
-    if isinstance(diffs, PairedSample):
-        d = diffs.differences()
-    else:
-        d = np.asarray(diffs, dtype=float)
+    d = np.asarray(diffs, dtype=float)
     if d.ndim != 1:
         raise ValueError("differences must form a 1-d array")
     if not np.isfinite(d).all():

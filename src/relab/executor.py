@@ -479,7 +479,7 @@ def _read_outputs(
     """
     outputs, missing, refused, total = {}, [], [], 0
     for rel in rels:
-        *parents, name = PurePosixPath(rel).parts or (".",)
+        *parents, name = PurePosixPath(rel).parts
         opened = []
         try:
             at = out_fd

@@ -21,7 +21,8 @@ from typing import Optional, Tuple
 
 from .evalstats import session_roles
 from .hashing import canonical_json_bytes, stable_json
-from .registry import DatasetSelector, Registry, RegistryError
+from .refpipe import METRICS_FILE
+from .registry import DatasetSelector, Registry, RegistryError, normalize_relative
 
 STAGE_ORDER = ("extract", "train", "test", "evaluate")
 EVAL_SCHEMES = ("holdout", "cross_validation", "both")
@@ -33,7 +34,7 @@ DEFAULT_STAGE_OUTPUTS = {
     "extract": ("features.csv", "labels.csv"),
     "train": ("model.json",),
     "test": ("predictions.csv",),
-    "evaluate": ("metrics.json",),
+    "evaluate": (METRICS_FILE,),
 }
 
 
@@ -72,12 +73,6 @@ def _strings(value, what: str) -> Tuple[str, ...]:
     return tuple(value)
 
 
-def _relative_output(path: str, stage: str) -> str:
-    if not path or path.startswith("/") or ".." in path.split("/"):
-        raise ManifestError(f"stage {stage!r} output {path!r} must be a clean relative path")
-    return path
-
-
 # ---------------------------------------------------------------------------
 # domain types
 
@@ -98,7 +93,10 @@ class StageSpec:
         if not self.command:
             raise ManifestError(f"stage {self.name!r} command must be non-empty")
         for path in self.outputs:
-            _relative_output(path, self.name)
+            if normalize_relative(path) != path:
+                raise ManifestError(
+                    f"stage {self.name!r} output {path!r} must be a clean relative path"
+                )
         if self.name != "evaluate" and not self.outputs:
             raise ManifestError(f"stage {self.name!r} must declare outputs")
 
@@ -154,6 +152,8 @@ class JobManifest:
             raise ManifestError(
                 f"stage order violation: expected {list(STAGE_ORDER)}, got {list(names)}"
             )
+        if METRICS_FILE not in self.stage("evaluate").outputs:
+            raise ManifestError(f"stage 'evaluate' must declare {METRICS_FILE!r}")
         if not (0 <= self.seed < 1 << 64):
             raise ManifestError("seed must fit in an unsigned 64-bit integer")
         if self.feature_weeks < 1:
@@ -333,22 +333,13 @@ def validate_manifest(m: JobManifest, registry: Registry) -> ValidationReport:
                 )
         if cv_idx is not None:
             cv_session = sessions[cv_idx].session_id
-            count = _learner_count(registry, course_id, cv_session)
+            count = registry.learner_count(course_id, cv_session)
             if count is not None and cfg.k > count:
                 warnings.append(
                     f"cv k={cfg.k} exceeds pooled learner count {count} of cv "
                     f"session {cv_session!r} in course {course_id!r}"
                 )
     return ValidationReport(violations=tuple(violations), warnings=tuple(warnings))
-
-
-def _learner_count(registry, course_id, session_id) -> Optional[int]:
-    """A session's roster size, if its metadata is readable."""
-    meta_path = registry.session_dir(course_id, session_id) / "session.json"
-    try:
-        return len(json.loads(meta_path.read_text("utf-8"))["learners"])
-    except (OSError, ValueError, KeyError):
-        return None
 
 
 __all__ = [

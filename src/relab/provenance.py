@@ -47,6 +47,7 @@ from .hashing import (
     write_once,
 )
 from .manifest import JobManifest, canonicalize, parse_manifest, render_manifest
+from .registry import normalize_relative
 
 CACHE_KEY_TAG = b"relab.cache-key.v1"
 TRIAL_ID_TAG = b"relab.trial.v1"
@@ -447,7 +448,7 @@ def import_bundle(
         with tarfile.open(src, "r") as tar:
             for info in tar.getmembers():
                 name = info.name
-                if not info.isfile() or name.startswith("/") or ".." in name.split("/"):
+                if not info.isfile() or normalize_relative(name) != name:
                     raise IntegrityError(f"unsafe bundle member: {name}")
                 members[name] = tar.extractfile(info).read()
     except tarfile.TarError as exc:

@@ -231,7 +231,7 @@ class EventLog:
         )
 
     @classmethod
-    def from_dir(cls, session_dir: Path) -> "EventLog":
+    def from_dir(cls, directory: Path) -> "EventLog":
         """Read `session.json` + `events.csv` from a session directory.
 
         Columns are found by header name, in any order; blank lines are
@@ -239,9 +239,9 @@ class EventLog:
         A header without one of `EVENT_COLUMNS` (an empty file has none)
         raises ValueError; a header alone is a session with no events.
         """
-        session_dir = Path(session_dir)
-        meta = json.loads((session_dir / SESSION_META_FILE).read_text("utf-8"))
-        events = session_dir / EVENTS_FILE
+        directory = Path(directory)
+        meta = json.loads((directory / SESSION_META_FILE).read_text("utf-8"))
+        events = directory / EVENTS_FILE
         with open(events, newline="", encoding="utf-8") as f:
             reader = csv.reader(f)
             header = next(reader, [])
@@ -263,10 +263,10 @@ class EventLog:
             meta["learners"],
         )
 
-    def write_dir(self, session_dir: Path, course_id: str = "") -> None:
+    def write_dir(self, directory: Path, course_id: str = "") -> None:
         """Write `session.json` + `events.csv` into a session directory."""
-        session_dir = Path(session_dir)
-        session_dir.mkdir(parents=True, exist_ok=True)
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
         meta = {
             "session_id": self.session_id,
             "course_id": course_id,
@@ -274,8 +274,8 @@ class EventLog:
             "num_weeks": self.num_weeks,
             "learners": list(self.learners),
         }
-        (session_dir / SESSION_META_FILE).write_bytes(canonical_json_bytes(meta))
-        with open(session_dir / EVENTS_FILE, "w", newline="", encoding="utf-8") as f:
+        (directory / SESSION_META_FILE).write_bytes(canonical_json_bytes(meta))
+        with open(directory / EVENTS_FILE, "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(EVENT_COLUMNS)
             order = np.lexsort(
@@ -691,13 +691,13 @@ def _load_session_table(sessions_dir: Path):
     row selection both index into this fixed order.
     """
     rows = []
-    for session_dir in sorted(p for p in sessions_dir.iterdir() if p.is_dir()):
-        learners, _, X = read_features_csv(session_dir / FEATURES_FILE)
-        label_learners, y = read_labels_csv(session_dir / LABELS_FILE)
+    for sdir in sorted(p for p in sessions_dir.iterdir() if p.is_dir()):
+        learners, _, X = read_features_csv(sdir / FEATURES_FILE)
+        label_learners, y = read_labels_csv(sdir / LABELS_FILE)
         if learners != label_learners:
-            raise ValueError(f"feature/label learner mismatch in {session_dir.name}")
+            raise ValueError(f"feature/label learner mismatch in {sdir.name}")
         for i, learner in enumerate(learners):
-            rows.append(((session_dir.name, learner), X[i], int(y[i])))
+            rows.append(((sdir.name, learner), X[i], int(y[i])))
     rows.sort(key=lambda item: item[0])
     keys = [r[0] for r in rows]
     X = np.array([r[1] for r in rows], dtype=float)
@@ -779,14 +779,13 @@ def _stage_evaluate(data_dir: Path, output_dir: Path, params: dict) -> None:
     (output_dir / METRICS_FILE).write_bytes(canonical_json_bytes(metrics))
 
 
-def run_stage_from_env(environ=None) -> int:
+def run_stage_from_env() -> int:
     """Entry used by the sandbox: dispatch on STAGE and run to completion."""
-    env = environ if environ is not None else os.environ
     try:
-        stage = env["STAGE"]
-        data_dir = Path(env["DATA_DIR"])
-        output_dir = Path(env["OUTPUT_DIR"])
-        seed = int(env["SEED"])
+        stage = os.environ["STAGE"]
+        data_dir = Path(os.environ["DATA_DIR"])
+        output_dir = Path(os.environ["OUTPUT_DIR"])
+        seed = int(os.environ["SEED"])
     except KeyError as exc:
         print(f"missing required environment variable: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,10 @@
 """Course/session catalog and the execute-against access policy.
 
-The registry owns metadata only: course descriptors, session start dates,
-and content digests of the raw data files. Raw file contents never cross
-this module's boundary; stages see data through read-only sandbox mounts
-and may export only what the access policy allows.
+The registry owns course descriptors, session start dates and the
+content digests of the raw data files, and it alone reads those files:
+a stage's data tree gets them, each checked against its digest, from
+``Registry.materialize_session``. A stage may export only what the
+access policy allows.
 
 On-disk layout under the registry root:
     data/<course_id>/<session_id>/...   immutable raw files
@@ -20,7 +21,7 @@ from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import List, Mapping, Optional, Tuple
 
-from .hashing import canonical_json_bytes, sha256_file, write_once
+from .hashing import canonical_json_bytes, sha256_bytes, sha256_file, write_once
 
 DEFAULT_MAX_EXPORT_BYTES = 64 * 1024 * 1024
 DEFAULT_EXPORT_ALLOWLIST = ("*.csv", "*.json")
@@ -140,14 +141,17 @@ class ExportDecision:
 # export policy enforcement
 
 
-def _normalize_relative(path: str) -> Optional[str]:
-    """Normalized relative path, or None when it escapes the output tree."""
-    if not path or path.startswith("/") or "\\" in path:
+def normalize_relative(path: str) -> Optional[str]:
+    """The clean form of a path below a tree, or None when it has none.
+
+    The one rule for a registered data file, a declared stage output and
+    a bundle member: None for an absolute path, one with a backslash, a
+    NUL or a ``..`` component, and one that names the tree itself ('', '.').
+    """
+    if path.startswith("/") or "\\" in path or "\0" in path or ".." in path.split("/"):
         return None
     norm = posixpath.normpath(path)
-    if norm.startswith("..") or norm == "." or norm.startswith("/"):
-        return None
-    return norm
+    return None if norm == "." else norm
 
 
 def _pattern_matches(pattern: str, path: str) -> bool:
@@ -171,7 +175,7 @@ def check_export(
     decisions = []
     remaining = policy.max_export_bytes
     for path in sorted(sizes):
-        norm = _normalize_relative(path)
+        norm = normalize_relative(path)
         if norm is None:
             decisions.append(ExportDecision(path, False, "traversal"))
             continue
@@ -220,15 +224,6 @@ def _id(obj: object, key: str, where: str) -> str:
     if not _is_name(value):
         raise RegistryError(f"{where}: {key} {value!r} must be one path component")
     return value
-
-
-def check_file_digest(path: Path, registered: str, found: str) -> None:
-    """Raise when a registered file's bytes no longer hash to its digest."""
-    if found != registered:
-        raise RegistryError(
-            f"data drift in {path}: registered {registered[:12]}..., "
-            f"found {found[:12]}..."
-        )
 
 
 def _iso_dates(items) -> dict:
@@ -314,7 +309,7 @@ class Registry:
                     raise RegistryError(f"{where}: file entry {entry!r} has no path")
                 if not isinstance(expected, (str, type(None))):
                     raise RegistryError(f"{where}: digest {expected!r} is not a string")
-                norm = _normalize_relative(rel)
+                norm = normalize_relative(rel)
                 if norm is None:
                     raise RegistryError(f"bad data file path {rel!r}")
                 fpath = sdir / norm
@@ -376,13 +371,31 @@ class Registry:
         courses = (self.load_course(course_id) for course_id in course_ids)
         return [course for course in courses if course.sessions]
 
-    def verify_course(self, course_id: str) -> None:
-        """Recompute digests of every registered file; raise on drift."""
-        course = self.load_course(course_id)
-        for session in course.sessions:
-            sdir = self.session_dir(course_id, session.session_id)
-            for f in session.data_files:
-                path = sdir / f.path
-                if not path.is_file():
-                    raise RegistryError(f"missing data file {path}")
-                check_file_digest(path, f.digest, sha256_file(path))
+    def materialize_session(self, course_id: str, session_id: str, dest: Path) -> None:
+        """Copy a session's registered files into ``dest``, checking each.
+
+        A file whose bytes no longer hash to its registered digest raises
+        ``data drift in <path>``; a missing one raises ``OSError``.
+        """
+        session = self.load_course(course_id).session(session_id)
+        src = self.session_dir(course_id, session_id)
+        for f in session.data_files:
+            path = src / f.path
+            content = path.read_bytes()
+            found = sha256_bytes(content)
+            if found != f.digest:
+                raise RegistryError(
+                    f"data drift in {path}: registered {f.digest[:12]}..., "
+                    f"found {found[:12]}..."
+                )
+            target = Path(dest) / f.path
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(content)
+
+    def learner_count(self, course_id: str, session_id: str) -> Optional[int]:
+        """A session's roster size from its ``session.json``, if readable."""
+        path = self.session_dir(course_id, session_id) / "session.json"
+        try:
+            return len(json.loads(path.read_text("utf-8"))["learners"])
+        except (OSError, ValueError, KeyError, TypeError):
+            return None

@@ -69,8 +69,8 @@ from .hashing import write_once
 from .manifest import JobManifest, canonicalize, parse_manifest, render_manifest
 from .manifest import validate_manifest
 from .provenance import CacheEntry, CacheStore, cache_key
-from .refpipe import Hyperparams
-from .registry import AccessPolicy, Registry, check_file_digest
+from .refpipe import METRICS_FILE, Hyperparams
+from .registry import AccessPolicy, Registry
 
 TERMINAL_PHASES = ("succeeded", "failed", "partial", "cancelled")
 
@@ -626,8 +626,17 @@ class Scheduler:
     # -- unit execution ---------------------------------------------------------
 
     def _export(self, job: _Job, unit: WorkUnit, outputs: Mapping[str, bytes]) -> None:
-        """Write what the policy lets ``unit`` export into ``results/``."""
-        collect_outputs(outputs, self.policy, job.dir / "results" / unit.unit_id)
+        """Write what the policy lets ``unit`` export into ``results/``.
+
+        The paths it denies, with their reasons, make one ``export`` event.
+        """
+        dest = job.dir / "results" / unit.unit_id
+        _, decisions = collect_outputs(outputs, self.policy, dest)
+        denied = {d.path: d.reason for d in decisions if not d.allowed}
+        if denied:
+            job.append_event(
+                {"event": "export", "unit_id": unit.unit_id, "denied": denied}
+            )
 
     def _run_unit(
         self,
@@ -685,20 +694,13 @@ class Scheduler:
     ) -> None:
         """Build the unit's read-only data tree from registry and cache.
 
-        An extract reads its session's registered files, and fails on bytes
-        that no longer match their registered digest; every dependency's
-        outputs go where its own stage puts them (``_input_dir``).
+        An extract gets its session's registered files from the registry,
+        and fails on bytes that no longer match their registered digest;
+        every dependency's outputs go where its own stage puts them
+        (``_input_dir``).
         """
         if unit.stage == "extract":
-            course = self.registry.load_course(unit.course_id)
-            session = course.session(unit.session_id)
-            src = self.registry.session_dir(unit.course_id, unit.session_id)
-            for f in session.data_files:
-                content = (src / f.path).read_bytes()
-                check_file_digest(src / f.path, f.digest, sha256_bytes(content))
-                target = data / f.path
-                target.parent.mkdir(parents=True, exist_ok=True)
-                target.write_bytes(content)
+            self.registry.materialize_session(unit.course_id, unit.session_id, data)
         for dep in deps:
             self.cache.materialize(self._entry(dep), data / _input_dir(dep))
         (data / "params.json").write_bytes(
@@ -736,9 +738,7 @@ class Scheduler:
             )
             entries.append(entry)
             if unit.stage == "evaluate" and state in _SETTLED:
-                digest = entry.output_digests.get("metrics.json", "")
-                if digest:
-                    eval_artifacts[unit.course_id] = digest
+                eval_artifacts[unit.course_id] = entry.output_digests[METRICS_FILE]
         return JobReport(
             job_id=job.job_id,
             phase=job.phase,
@@ -762,7 +762,7 @@ class Scheduler:
             if job.unit_states.get(unit.unit_id) not in _SETTLED:
                 continue
             # the unit's own output, which the export policy may withhold
-            digest = self._entry(unit).output_digests["metrics.json"]
+            digest = self._entry(unit).output_digests[METRICS_FILE]
             obj = json.loads(self.cache.get_blob(digest))
             for row in obj["rows"]:
                 rows.append(

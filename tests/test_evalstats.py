@@ -247,18 +247,6 @@ class TestWilcoxon:
         res_neg = wilcoxon_signed_rank(-d)
         assert res_pos.p_value == pytest.approx(res_neg.p_value, abs=1e-12)
 
-    def test_accepts_paired_sample(self):
-        sample = PairedSample(
-            pairs=(
-                PairedAuc("a", 1, holdout_auc=0.5, cv_auc=0.6),
-                PairedAuc("b", 1, holdout_auc=0.5, cv_auc=0.7),
-                PairedAuc("c", 1, holdout_auc=0.6, cv_auc=0.9),
-            )
-        )
-        res = wilcoxon_signed_rank(sample)
-        assert res.statistic == 6.0
-        assert res.p_value == pytest.approx(0.25)
-
 
 # ---------------------------------------------------------------------------
 # session roles and folds

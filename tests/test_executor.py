@@ -644,7 +644,7 @@ class TestStageZygote:
         # without the preload list would hold: relab.refpipe; it prints the
         # modules that the preload list, or one stage, adds to that
         script = (
-            "import importlib, json, sys\n"
+            "import importlib, json, os, sys\n"
             "import relab.refpipe\n"
             "before = set(sys.modules)\n"
             "request = json.loads(sys.argv[1])\n"
@@ -652,7 +652,9 @@ class TestStageZygote:
             "    importlib.import_module(name)\n"
             "code = 0\n"
             "if 'env' in request:\n"
-            "    code = relab.refpipe.run_stage_from_env(request['env'])\n"
+            "    os.environ.clear()\n"
+            "    os.environ.update(request['env'])\n"
+            "    code = relab.refpipe.run_stage_from_env()\n"
             "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
         )
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -169,6 +170,20 @@ class TestParse:
         )
         with pytest.raises(ManifestError, match="relative"):
             parse_manifest(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "path", [".", "./features.csv", "a//b.csv", "sub/", "a\\b.csv", "a\0b.csv"]
+    )
+    def test_output_the_path_rule_would_change_is_refused(self, path):
+        doc = with_stage(0, outputs=["features.csv", "labels.csv", path])
+        with pytest.raises(ManifestError, match=re.escape(repr(path))):
+            parse_manifest(json.dumps(doc))
+
+    def test_evaluate_must_declare_metrics_json(self):
+        with pytest.raises(ManifestError, match="'metrics.json'"):
+            parse_manifest(json.dumps(with_stage(3, outputs=[])))
+        with pytest.raises(ManifestError, match="'metrics.json'"):
+            parse_manifest(json.dumps(with_stage(3, outputs=["report.json"])))
 
     def test_feature_weeks_positive(self):
         with pytest.raises(ManifestError, match="feature_weeks"):

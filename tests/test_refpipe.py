@@ -9,7 +9,9 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
+import os
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -684,7 +686,8 @@ def _write_session(tmp_path, session_id, rows, roster):
 
 
 def _run(env):
-    return refpipe.run_stage_from_env(env)
+    with mock.patch.dict(os.environ, env, clear=True):
+        return refpipe.run_stage_from_env()
 
 
 def _stage_env(stage, data_dir, output_dir, seed=7):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relab
 from relab.registry import (
     AccessPolicy,
     DatasetSelector,
@@ -251,10 +254,16 @@ class TestRegisterCourse:
 
     def test_verify_detects_drift(self, tmp_path):
         r = make_registry(tmp_path, BASIC)
-        r.verify_course("course-a")
-        (r.session_dir("course-a", "2013-fall") / "events.csv").write_bytes(b"evil")
-        with pytest.raises(RegistryError, match="drift"):
-            r.verify_course("course-a")
+        r.materialize_session("course-a", "2013-fall", tmp_path / "before")
+        path = r.session_dir("course-a", "2013-fall") / "events.csv"
+        path.write_bytes(b"evil")
+        registered = hashlib.sha256(b"a2").hexdigest()[:12]
+        found = hashlib.sha256(b"evil").hexdigest()[:12]
+        with pytest.raises(RegistryError) as info:
+            r.materialize_session("course-a", "2013-fall", tmp_path / "after")
+        assert str(info.value) == (
+            f"data drift in {path}: registered {registered}..., found {found}..."
+        )
 
 
     def test_concurrent_writer_processes_register_one_course(self, tmp_path):
@@ -309,6 +318,61 @@ class TestRegisterCourse:
 
 def selected(courses):
     return [(c.course_id, [s.session_id for s in c.sessions]) for c in courses]
+
+
+class TestMaterializeSession:
+    def test_copies_exactly_the_registered_files(self, tmp_path):
+        r = make_registry(tmp_path, {"c": [("s", "2020-01-06", {
+            "events.csv": b"e", "..data.csv": b"d", "session.json": b"{}",
+        })]})
+        (r.session_dir("c", "s") / "unregistered.csv").write_bytes(b"u")
+        dest = tmp_path / "dest"
+        r.materialize_session("c", "s", dest)
+        copied = {
+            p.relative_to(dest).as_posix(): p.read_bytes()
+            for p in dest.rglob("*") if p.is_file()
+        }
+        assert copied == {
+            "events.csv": b"e", "..data.csv": b"d", "session.json": b"{}",
+        }
+
+    def test_missing_file_raises(self, tmp_path):
+        r = make_registry(tmp_path, BASIC)
+        (r.session_dir("course-b", "2015-only") / "session.json").unlink()
+        with pytest.raises(FileNotFoundError, match="session.json"):
+            r.materialize_session("course-b", "2015-only", tmp_path / "dest")
+
+
+class TestLearnerCount:
+    def test_counts_the_roster(self, tmp_path):
+        meta = json.dumps({"learners": ["a", "b", "c"]}).encode()
+        r = make_registry(tmp_path, {"c": [("s", "2020-01-06", {"session.json": meta})]})
+        assert r.learner_count("c", "s") == 3
+
+    @pytest.mark.parametrize(
+        "meta", [None, b"not json", b"{}", b"[]"],
+        ids=["missing", "not-json", "no-learners", "not-an-object"],
+    )
+    def test_unreadable_session_json_is_none(self, tmp_path, meta):
+        files = {"events.csv": b"e"}
+        if meta is not None:
+            files["session.json"] = meta
+        r = make_registry(tmp_path, {"c": [("s", "2020-01-06", files)]})
+        assert r.learner_count("c", "s") is None
+
+
+def test_only_the_registry_reads_session_directories():
+    # a registered file reaches any other module through materialize_session
+    # or learner_count, so it is digest-checked or only counted
+    callers = []
+    for path in sorted(Path(relab.__file__).parent.glob("*.py")):
+        if path.name == "registry.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "session_dir"):
+                callers.append(f"{path.name}:{node.lineno}")
+    assert callers == []
 
 
 class TestResolveSelector:
@@ -409,6 +473,10 @@ class TestCheckExport:
 
     def test_empty_is_empty(self):
         assert check_export({}, AccessPolicy()) == ()
+
+    def test_a_name_starting_with_two_dots_is_exported(self):
+        (decision,) = check_export({"..data.csv": 3}, AccessPolicy())
+        assert decision.allowed and decision.reason == "allowed"
 
     @given(
         paths=st.dictionaries(

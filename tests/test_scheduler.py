@@ -1119,6 +1119,14 @@ HOLDOUT_COURSE000 = make_manifest(
 )
 
 
+# each extract also writes raw.dat, which the default allowlist denies
+WITH_RAW_DAT = with_extract_command(
+    HOLDOUT_COURSE000,
+    ("/bin/sh", "-c", 'python3 -m relab.refpipe && echo raw > "$OUTPUT_DIR/raw.dat"'),
+    "raw.dat",
+)
+
+
 class TestCacheHitExports:
     # course000's extracts write about 1.2 kB of features.csv, then 0.7 kB
     # of labels.csv, and its test 1.3 kB of predictions.csv: a 1200-byte
@@ -1134,16 +1142,10 @@ class TestCacheHitExports:
     def test_cached_rerun_exports_what_a_run_exports(
         self, corpus_registry, tmp_path, policy, reasons
     ):
-        manifest = with_extract_command(
-            HOLDOUT_COURSE000,
-            ("/bin/sh", "-c",
-             'python3 -m relab.refpipe && echo raw > "$OUTPUT_DIR/raw.dat"'),
-            "raw.dat",
-        )
         sched = Scheduler(tmp_path, corpus_registry, policy=policy)
         trees = []
         for _ in range(2):
-            job_id = sched.submit(manifest)
+            job_id = sched.submit(WITH_RAW_DAT)
             sched.plan(job_id)
             report = sched.execute(job_id)
             assert report.phase == "succeeded"
@@ -1167,6 +1169,20 @@ class TestCacheHitExports:
         assert set(denied.values()) == reasons
         assert trees[0] and not set(denied) & set(trees[0])
         assert trees[1] == trees[0]
+
+    def test_each_denial_is_an_export_event(self, corpus_registry, tmp_path):
+        sched = Scheduler(tmp_path, corpus_registry)
+        for cached in (False, True):  # executed, then every unit a cache hit
+            job_id = sched.submit(WITH_RAW_DAT)
+            sched.plan(job_id)
+            report = sched.execute(job_id)
+            assert report.phase == "succeeded"
+            assert report.cache_hits == (len(report.entries) if cached else 0)
+            exports = [e for e in job_events(sched, job_id) if e["event"] == "export"]
+            assert sorted(e["unit_id"] for e in exports) == sorted(
+                e.unit_id for e in report.entries if e.stage == "extract"
+            )
+            assert all(e["denied"] == {"raw.dat": "not allowlisted"} for e in exports)
 
 
 class TestExportPolicyKeepsTheReport:
