@@ -31,14 +31,18 @@ directory and log as a spawned one, and ``run_stage`` applies the same
 mount sweep, timeout and checks to it; a custom command or the container
 backend always spawns.
 
-A spawned stage leads a process group of its own, which is killed once
-the stage has ended, so no process the stage started outlives its run.
-A forked stage runs only ``relab.refpipe``, which starts no process.
+Past its ``StageSpec`` timeout, a stage gets a terminate,
+``TIMEOUT_GRACE_SECONDS`` of grace, then a kill, from ``_supervise`` on
+both paths. A spawned stage leads a process group of its own, which is
+signalled, and killed once the stage has ended, so no process the stage
+started outlives its run. A forked stage runs only ``relab.refpipe``,
+which starts no process; the zygote reaps it at exit, so it is signalled
+alone, through the pidfd it hands back, which no other process can
+take over.
 
-A stage runs under its ``StageSpec`` timeout, and its declared outputs
-may total at most ``MAX_OUTPUT_BYTES``. Each declared output must be a
-regular file that is reached through real directories: a link, or a path
-through a linked directory, fails the stage. ``run_stage`` opens
+A stage's declared outputs may total at most ``MAX_OUTPUT_BYTES``. Each
+must be a regular file that is reached through real directories: a link,
+or a path through a linked directory, fails the stage. ``run_stage`` opens
 ``OUTPUT_DIR`` before the stage starts and each output below that
 descriptor without following a link, and reads each output once; the
 result carries those bytes, which are the ones hashed, cached and
@@ -70,9 +74,11 @@ import sys
 import threading
 import time
 import traceback
+from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path, PurePosixPath
-from typing import BinaryIO, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import BinaryIO, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .hashing import sha256_bytes, sha256_file
 from .manifest import DEFAULT_STAGE_COMMAND, StageSpec
@@ -303,35 +309,45 @@ def _run_subprocess(
 ) -> Tuple[int, bool, str]:
     """Spawn the stage command; returns (exit code, timed out, cause).
 
-    The stage leads a session, and so a process group, of its own. A
-    stage still running at ``timeout`` gets a terminate to its group and
-    ``TIMEOUT_GRACE_SECONDS`` of grace. Then, before the stage process is
-    reaped (so its group id cannot have been reused), the group is
-    killed: a process the stage left behind ends with it.
+    The stage leads a session, and so a process group, of its own, which
+    ``_supervise`` signals once ``timeout`` has passed. Then, before the
+    stage process is reaped (so its group id cannot have been reused),
+    the group is killed: a process the stage left behind ends with it.
     """
     proc = subprocess.Popen(
         command, cwd=cwd, env=env, stdout=log, stderr=subprocess.STDOUT,
         start_new_session=True,
     )
-    # readable once the stage has exited, which leaves it unreaped
+    # readable once the stage has exited, which leaves it unreaped; an
+    # unreaped leader keeps its group, so the kills below always land
     pidfd = os.pidfd_open(proc.pid)
     try:
-        timed_out = not _wait_readable(pidfd, time.monotonic() + timeout)
-        if timed_out:
-            _kill_group(proc.pid, signal.SIGTERM)
-            _wait_readable(pidfd, time.monotonic() + TIMEOUT_GRACE_SECONDS)
-        _kill_group(proc.pid, signal.SIGKILL)
+        signalled = _supervise(
+            pidfd, time.monotonic() + timeout, partial(os.killpg, proc.pid)
+        )
+        os.killpg(proc.pid, signal.SIGKILL)
     finally:
         os.close(pidfd)
     proc.wait()
-    return proc.returncode, timed_out, ""
+    return proc.returncode, bool(signalled), ""
 
 
-def _kill_group(pgid: int, sig: int) -> None:
-    try:
-        os.killpg(pgid, sig)
-    except ProcessLookupError:
-        pass
+def _supervise(fd: int, deadline: float, send: Callable[[int], None]) -> int:
+    """Wait until ``fd`` turns readable; past ``deadline``, end the stage.
+
+    The timeout policy of both stage paths: a stage still running at the
+    monotonic ``deadline`` gets ``send(SIGTERM)``, ``TIMEOUT_GRACE_SECONDS``
+    of grace, then ``send(SIGKILL)``. Returns the last signal sent, or 0.
+    """
+    if _wait_readable(fd, deadline):
+        return 0
+    with suppress(ProcessLookupError):  # the stage has just ended
+        send(signal.SIGTERM)
+    if _wait_readable(fd, time.monotonic() + TIMEOUT_GRACE_SECONDS):
+        return signal.SIGTERM
+    with suppress(ProcessLookupError):
+        send(signal.SIGKILL)
+    return signal.SIGKILL
 
 
 def run_stage(
@@ -542,8 +558,9 @@ class StageZygote:
     path and BLAS set-up match a spawned stage), which imports
     ``relab.refpipe`` once and holds no Python threads. For each stage
     it receives the stage's cwd and environment over a socket, with the
-    log and a status pipe as passed file descriptors, and forks; the
-    child reports its pid and exit code on the pipe.
+    log and one end of a fresh socket pair as passed file descriptors,
+    and forks; on that pair the child sends its pid with a pidfd of
+    itself, and at its end its exit code.
 
     The zygote starts at the first ``run`` and is stopped by ``close``.
     Its identity is its launch environment: a stage whose
@@ -571,45 +588,40 @@ class StageZygote:
         """Run one stage in a fork; returns (exit code, timed out, cause).
 
         Raises ``ZygoteStartError`` when no zygote could be started, and
-        returns None when it was lost before it forked. A stage still
-        running at ``timeout`` gets a terminate, ``TIMEOUT_GRACE_SECONDS``
-        of grace, then a kill, by the pid it reported.
+        returns None when it was lost before it forked. The child's first
+        message is its pid with a pidfd of itself, its last its exit code;
+        ``_supervise`` waits on the socket they come over and signals the
+        stage, alone, through that pidfd.
         """
         sock = self._connect(cwd, env, timeout)
         request = json.dumps({"cwd": str(cwd), "env": dict(env)}).encode()
-        read_fd, write_fd = os.pipe()
-        try:
+        ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+        with ours:
             try:
-                socket.send_fds(sock, [request], [log.fileno(), write_fd])
+                with theirs:
+                    socket.send_fds(sock, [request], [log.fileno(), theirs.fileno()])
             except OSError:
                 return None
-            finally:
-                os.close(write_fd)
-            status = _StatusPipe(read_fd)
-            status.read(timeout)
-            if status.eof and status.pid is None:
+            fd, deadline = ours.fileno(), time.monotonic() + timeout
+            if not _wait_readable(fd, deadline + TIMEOUT_GRACE_SECONDS):
+                return -1, True, ""  # nothing forked in time, nothing to signal
+            pid, pidfds, _, _ = socket.recv_fds(ours, 32, 1)
+            if not pidfds:  # end-of-file, or a child that ran nothing
                 return None
-            timed_out = not status.eof
-            signalled = 0
-            if timed_out:
-                status.read(TIMEOUT_GRACE_SECONDS, until_pid=True)
-                for sig in (signal.SIGTERM, signal.SIGKILL):
-                    if status.eof or status.pid is None:
-                        break
-                    try:
-                        os.kill(status.pid, sig)
-                    except ProcessLookupError:
-                        break
-                    signalled = sig
-                    status.read(TIMEOUT_GRACE_SECONDS)
-        finally:
-            os.close(read_fd)
-        if status.exit_code is not None:
-            return status.exit_code, timed_out, ""
+            try:
+                send = partial(signal.pidfd_send_signal, pidfds[0])
+                signalled = _supervise(fd, deadline, send)
+                # readable at once, unless a kill has yet to end the stage
+                ended = _wait_readable(fd, time.monotonic() + TIMEOUT_GRACE_SECONDS)
+                exit_code = ours.recv(32) if ended else b""
+            finally:
+                os.close(pidfds[0])
+        if exit_code:
+            return int(exit_code), bool(signalled), ""
         if signalled:
-            return -signalled, timed_out, ""
-        return -1, timed_out, (
-            f"stage process {status.pid} forked from the stage zygote "
+            return -signalled, True, ""
+        return -1, False, (
+            f"stage process {int(pid)} forked from the stage zygote "
             "ended without reporting an exit code"
         )
 
@@ -720,37 +732,6 @@ def _wait_readable(fd: int, deadline: float) -> bool:
             return True
 
 
-class _StatusPipe:
-    """A forked stage's report: its pid, then its exit code, a line each."""
-
-    def __init__(self, fd: int):
-        self._fd = fd
-        self._data = b""
-        self.eof = False
-
-    def _line(self, index: int) -> Optional[int]:
-        lines = self._data.split(b"\n")[:-1]
-        return int(lines[index]) if len(lines) > index else None
-
-    @property
-    def pid(self) -> Optional[int]:
-        return self._line(0)
-
-    @property
-    def exit_code(self) -> Optional[int]:
-        return self._line(1)
-
-    def read(self, timeout: float, until_pid: bool = False) -> None:
-        """Read until end-of-file (or a pid) or until ``timeout`` passes."""
-        deadline = time.monotonic() + timeout
-        while not self.eof and not (until_pid and self.pid is not None):
-            if not _wait_readable(self._fd, deadline):
-                return
-            chunk = os.read(self._fd, 64)
-            self._data += chunk
-            self.eof = not chunk
-
-
 def _zygote_main(fd: int) -> None:
     """Zygote body: fork a stage per request on socket ``fd`` until EOF."""
     for name in ZYGOTE_PRELOAD:
@@ -771,15 +752,19 @@ def _zygote_main(fd: int) -> None:
                 os.close(passed)
 
 
-def _stage_child(request: bytes, log_fd: int, status_fd: int) -> None:
+def _stage_child(request: bytes, log_fd: int, report_fd: int) -> None:
     """A forked stage: set up as a spawned one would be, run, ``_exit``."""
     code = 1
     try:
-        os.write(status_fd, b"%d\n" % os.getpid())
+        # first its pid with a pidfd of itself, which the engine signals
+        # it by; last, on the same socket, its exit code
+        report = socket.socket(fileno=report_fd)
+        pidfd = os.pidfd_open(os.getpid())
+        socket.send_fds(report, [b"%d" % os.getpid()], [pidfd])
         os.dup2(log_fd, 1)
         os.dup2(log_fd, 2)
-        os.closerange(3, status_fd)
-        os.closerange(status_fd + 1, os.sysconf("SC_OPEN_MAX"))
+        os.closerange(3, report_fd)
+        os.closerange(report_fd + 1, os.sysconf("SC_OPEN_MAX"))
         signal.signal(signal.SIGCHLD, signal.SIG_DFL)
         unit = json.loads(request)
         os.chdir(unit["cwd"])
@@ -794,6 +779,6 @@ def _stage_child(request: bytes, log_fd: int, status_fd: int) -> None:
         try:  # the child must never return into the zygote's loop
             sys.stdout.flush()
             sys.stderr.flush()
-            os.write(status_fd, b"%d\n" % code)
+            os.write(report_fd, b"%d" % code)
         finally:
             os._exit(code)

@@ -21,7 +21,8 @@ from typing import Optional, Tuple
 
 from .evalstats import session_roles
 from .hashing import canonical_json_bytes, stable_json
-from .refpipe import METRICS_FILE
+from .refpipe import FEATURES_FILE, LABELS_FILE, METRICS_FILE, MODEL_FILE
+from .refpipe import PREDICTIONS_FILE
 from .registry import DatasetSelector, Registry, RegistryError, normalize_relative
 
 STAGE_ORDER = ("extract", "train", "test", "evaluate")
@@ -31,9 +32,9 @@ CV_POOLINGS = ("pooled",)
 DEFAULT_STAGE_COMMAND = ("python3", "-m", "relab.refpipe")
 DEFAULT_STAGE_TIMEOUT = 600.0
 DEFAULT_STAGE_OUTPUTS = {
-    "extract": ("features.csv", "labels.csv"),
-    "train": ("model.json",),
-    "test": ("predictions.csv",),
+    "extract": (FEATURES_FILE, LABELS_FILE),
+    "train": (MODEL_FILE,),
+    "test": (PREDICTIONS_FILE,),
     "evaluate": (METRICS_FILE,),
 }
 

@@ -50,6 +50,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
@@ -66,10 +67,10 @@ from .executor import (
 )
 from .hashing import append_jsonl, canonical_json_bytes, read_jsonl, sha256_bytes
 from .hashing import write_once
-from .manifest import JobManifest, canonicalize, parse_manifest, render_manifest
-from .manifest import validate_manifest
+from .manifest import JobManifest, ManifestError, canonicalize, parse_manifest
+from .manifest import render_manifest, validate_manifest
 from .provenance import CacheEntry, CacheStore, cache_key
-from .refpipe import METRICS_FILE, Hyperparams
+from .refpipe import METRICS_FILE, PARAMS_FILE, Hyperparams
 from .registry import AccessPolicy, Registry
 
 TERMINAL_PHASES = ("succeeded", "failed", "partial", "cancelled")
@@ -323,11 +324,19 @@ class _Job:
         self.job_id = job_id
         self.dir = job_dir
         self.phase = "queued"
-        self.manifest: Optional[JobManifest] = None
         self.units: Tuple[WorkUnit, ...] = ()
         self.data_digests: Tuple[str, ...] = ()
         self.unit_states: Dict[str, str] = {}
         self.trial_id: Optional[str] = None
+
+    @cached_property
+    def manifest(self) -> JobManifest:
+        """The stored manifest, parsed only by the calls that use it."""
+        try:
+            return parse_manifest((self.dir / "manifest.json").read_text())
+        except ManifestError as exc:
+            msg = f"job {self.job_id} has a manifest that no longer parses: {exc}"
+            raise SchedulerError(msg) from None
 
     @property
     def events_path(self) -> Path:
@@ -405,7 +414,7 @@ class Scheduler:
         return job_dir
 
     def _job(self, job_id: str) -> _Job:
-        """A fresh replay of the job's manifest, units and event log.
+        """A fresh replay of the job's units and event log; its manifest is lazy.
 
         No job is kept between calls, also none this scheduler submitted
         or runs, so a job another scheduler on the root wrote (the CLI
@@ -415,9 +424,6 @@ class Scheduler:
         """
         job_dir = self._job_dir(job_id)
         job = _Job(job_id, job_dir)
-        manifest_path = job_dir / "manifest.json"
-        if manifest_path.is_file():
-            job.manifest = parse_manifest(manifest_path.read_text())
         units_path = job_dir / "units.json"
         if units_path.is_file():
             obj = json.loads(units_path.read_text())
@@ -543,6 +549,8 @@ class Scheduler:
                 raise SchedulerError(
                     f"execute requires a planned job, {job_id} is {job.phase}"
                 )
+            # a manifest that no longer parses fails the call, not its units
+            job.manifest  # noqa: B018
             job.set_phase("running")
             started = time.monotonic()
             results = self._dispatch(job, parallelism)
@@ -703,9 +711,7 @@ class Scheduler:
             self.registry.materialize_session(unit.course_id, unit.session_id, data)
         for dep in deps:
             self.cache.materialize(self._entry(dep), data / _input_dir(dep))
-        (data / "params.json").write_bytes(
-            canonical_json_bytes(dict(unit.params))
-        )
+        (data / PARAMS_FILE).write_bytes(canonical_json_bytes(dict(unit.params)))
 
     def _entry(self, unit: WorkUnit) -> CacheEntry:
         """The cache entry of a settled unit, whose outputs the cache holds."""
@@ -773,5 +779,5 @@ class Scheduler:
                         auc=float(row["auc"]),
                     )
                 )
-        ci = job.manifest.eval_config.ci_level if job.manifest else 0.95
+        ci = job.manifest.eval_config.ci_level
         return build_eval_report(rows, ci_level=ci, metadata={"job_id": job_id})

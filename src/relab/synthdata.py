@@ -50,7 +50,8 @@ from typing import List
 import numpy as np
 
 from .hashing import sha256_concat
-from .refpipe import EVENT_TYPES, WEEK_SECONDS, EventLog, _sigmoid, date_epoch
+from .refpipe import EVENT_TYPES, EVENTS_FILE, SESSION_META_FILE, WEEK_SECONDS
+from .refpipe import EventLog, _sigmoid, date_epoch
 
 ENGAGEMENT_SIGMA = 0.6
 TYPE_CORR = 0.5  # correlation of per-type engagements through the shared factor
@@ -270,7 +271,7 @@ def generate_corpus(cfg: SynthConfig, registry_root: Path) -> List[dict]:
                     "session_id": log.session_id,
                     "start_date": log.start_date.isoformat(),
                     "num_weeks": log.num_weeks,
-                    "files": ["events.csv", "session.json"],
+                    "files": [EVENTS_FILE, SESSION_META_FILE],
                 }
             )
         descriptors.append(

@@ -193,6 +193,24 @@ class TestResults:
         code, _, _ = cli(capsys, "--root", root["state"], "results", "job-424242")
         assert code == 1
 
+    def test_job_whose_stored_manifest_no_longer_parses(self, root, capsys):
+        # as an engine that let evaluate declare no metrics.json stored it
+        engine = Engine(root["state"])
+        job_id = engine.scheduler.submit(parse_manifest(make_manifest_text(seed=98)))
+        path = engine.scheduler.jobs_dir / job_id / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["stages"][-1]["outputs"] = []
+        path.write_text(json.dumps(doc))
+
+        code, out, _ = cli(capsys, "--root", root["state"], "status", job_id)
+        assert (code, json.loads(out)["phase"]) == (0, "queued")
+        engine.scheduler.cancel(job_id)
+        assert engine.scheduler.status(job_id).phase == "cancelled"
+        code, out, err = cli(capsys, "--root", root["state"], "results", job_id)
+        assert (code, out) == (1, "")
+        assert f"job {job_id} has a manifest that no longer parses" in err
+        assert "must declare 'metrics.json'" in err
+
     def test_corrupt_metrics_blob_exits_1(self, root, submitted, tmp_path, capsys):
         # the report reads each evaluate unit's metrics.json from the cache
         state = tmp_path / "state"

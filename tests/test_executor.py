@@ -1,5 +1,6 @@
 """Tests for sandboxed stage execution."""
 
+import ast
 import contextlib
 import hashlib
 import json
@@ -9,11 +10,12 @@ import signal
 import stat
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
+import relab
 import relab.executor as executor
 from relab.executor import (
     BACKEND_CONTAINER,
@@ -708,6 +710,39 @@ class TestStageZygote:
         }
 
 
+@pytest.mark.parametrize("path", ["spawned", "forked"])
+def test_a_stage_that_ignores_the_terminate_is_killed_after_the_grace(
+    tmp_path, monkeypatch, spawned, path
+):
+    monkeypatch.setattr(executor, "TIMEOUT_GRACE_SECONDS", 0.3)
+    sb = make_sandbox(tmp_path)
+    zygote = StageZygote()
+    try:
+        if path == "spawned":
+            stage = sh_stage("trap '' TERM; sleep 30", outputs=["x.csv"], timeout=0.3)
+        else:
+            # forks keep the zygote's ignored SIGTERM; a first run starts the
+            # zygote, then the stage blocks opening a FIFO, which the mount
+            # sweep records by its type
+            monkeypatch.setattr(
+                executor, "_ZYGOTE_CODE",
+                "import signal; signal.signal(signal.SIGTERM, signal.SIG_IGN); "
+                + executor._ZYGOTE_CODE,
+            )
+            stage = StageSpec(name="extract", command=DEFAULT_STAGE_COMMAND,
+                              timeout=0.3, outputs=("features.csv",))
+            run_stage(replace(stage, timeout=30.0), sb, BACKEND, ZygoteCall(zygote))
+            os.mkfifo(sb.data_mount / "params.json")
+        started = time.monotonic()
+        result = run_stage(stage, sb, BACKEND, ZygoteCall(zygote))
+    finally:
+        zygote.close()
+    assert time.monotonic() - started < 5.0
+    assert len(spawned) == (1 if path == "spawned" else 0)
+    assert result.status == STATUS_TIMEOUT
+    assert result.exit_code == -signal.SIGKILL
+
+
 class TestCollectOutputs:
     def run_ok(self, tmp_path, script, outputs):
         sb = make_sandbox(tmp_path)
@@ -757,3 +792,17 @@ class TestCollectOutputs:
         assert exported == ("a.csv",)
         reasons = {d.path: d.reason for d in decisions if not d.allowed}
         assert "quota" in reasons["b.csv"]
+
+
+def test_no_module_signals_a_process_by_its_pid():
+    # a pid may be free, or another process's, by the time a signal is
+    # sent; stages are signalled by a pidfd or an unreaped group leader
+    callers = []
+    for path in sorted(Path(relab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "kill"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "os"):
+                callers.append(f"{path.name}:{node.lineno}")
+    assert callers == []

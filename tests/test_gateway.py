@@ -185,6 +185,25 @@ class TestJobEndpoints:
         assert report.json()["phase"] in ("queued", "planning", "running")
         gateway["server"].wait_idle()
 
+    def test_report_of_a_job_whose_manifest_no_longer_parses_is_409(self, gateway):
+        scheduler = gateway["engine"].scheduler
+        job_id = scheduler.submit(parse_manifest(manifest_text(seed=7)))
+        path = scheduler.jobs_dir / job_id / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["stages"][-1]["outputs"] = []
+        path.write_text(json.dumps(doc))
+        scheduler.cancel(job_id)
+
+        status = requests.get(f"{gateway['base']}/jobs/{job_id}")
+        report = requests.get(f"{gateway['base']}/jobs/{job_id}/report")
+        assert status.status_code == 200
+        assert report.status_code == 409
+        assert report.json() == {
+            "error": f"job {job_id} has a manifest that no longer parses: "
+                     "stage 'evaluate' must declare 'metrics.json'",
+            "phase": "cancelled",
+        }
+
     def test_bundle_digest_matches_body(self, gateway):
         response = requests.get(f"{gateway['base']}/jobs/{gateway['job_id']}")
         trial_id = response.headers["X-Trial-Id"]

@@ -628,6 +628,22 @@ class TestExecute:
         with pytest.raises(SchedulerError, match="planned"):
             sched.execute(job_id)
 
+    def test_manifest_that_no_longer_parses_fails_before_a_unit_runs(
+        self, corpus_registry, tmp_path
+    ):
+        sched = Scheduler(tmp_path, corpus_registry)
+        job_id = sched.submit(make_manifest("holdout"))
+        sched.plan(job_id)
+        path = sched.jobs_dir / job_id / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["stages"][-1]["outputs"] = []  # as stored before evaluate had to declare
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchedulerError, match=f"job {job_id} has a manifest that"):
+            sched.execute(job_id)
+        state = sched.status(job_id)
+        assert state.phase == "planning"
+        assert set(state.unit_states.values()) == {"pending"}
+
     def test_eval_report_rows(self, executed):
         sched, job_id, report = executed
         eval_report = sched.eval_report(job_id)
