@@ -80,7 +80,7 @@ from functools import partial
 from pathlib import Path, PurePosixPath
 from typing import BinaryIO, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
-from .hashing import sha256_bytes, sha256_file
+from .hashing import sha256_bytes, sha256_file, write_tree
 from .manifest import DEFAULT_STAGE_COMMAND, StageSpec
 from .registry import AccessPolicy, ExportDecision, check_export
 
@@ -205,10 +205,6 @@ class StageResult:
     outputs: Mapping[str, bytes] = field(
         default_factory=dict, repr=False, compare=False
     )
-
-    @property
-    def ok(self) -> bool:
-        return self.status == STATUS_SUCCEEDED
 
 
 def stage_environment(sandbox: SandboxSpec) -> Dict[str, str]:
@@ -531,17 +527,14 @@ def collect_outputs(
     """Write what ``policy`` lets a unit export of its ``outputs``.
 
     ``outputs`` is the bytes by relative path: an executed unit's
-    ``StageResult.outputs``, or a cached unit's blobs, so both export the
-    same files. Returns (exported relative paths, full decision list).
-    Denied paths are recorded with their reasons and never written.
+    ``StageResult.outputs``, or a cached unit's ``CacheStore.blobs``, of
+    which only the exported are read. Returns (exported relative paths,
+    full decision list). Denied paths are recorded with their reasons
+    and never written.
     """
     decisions = check_export({rel: len(data) for rel, data in outputs.items()}, policy)
     exported = tuple(d.path for d in decisions if d.allowed)
-    Path(dest_dir).mkdir(parents=True, exist_ok=True)
-    for rel in exported:
-        dst = Path(dest_dir, rel)
-        dst.parent.mkdir(parents=True, exist_ok=True)
-        dst.write_bytes(outputs[rel])
+    write_tree(dest_dir, {rel: bytes(outputs[rel]) for rel in exported})
     return exported, decisions
 
 

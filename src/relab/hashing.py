@@ -23,7 +23,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Mapping, Optional
 
 HEX_DIGEST_LEN = 64
 _CHUNK = 1 << 20
@@ -111,6 +111,15 @@ def write_once(path: Path, data: bytes) -> bytes:
     finally:
         os.unlink(tmp)
     return data
+
+
+def write_tree(dest_dir: Path, files: Mapping[str, bytes]) -> None:
+    """Write each file's bytes at its relative path under ``dest_dir``."""
+    Path(dest_dir).mkdir(parents=True, exist_ok=True)
+    for rel, data in sorted(files.items()):
+        target = Path(dest_dir, rel)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(data)
 
 
 def _unfinished(line: bytes) -> bool:

@@ -19,14 +19,14 @@ import json
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, Tuple
 
-from .evalstats import session_roles
+from .evalstats import SCHEME_CV, SCHEME_HOLDOUT, session_roles
 from .hashing import canonical_json_bytes, stable_json
 from .refpipe import FEATURES_FILE, LABELS_FILE, METRICS_FILE, MODEL_FILE
 from .refpipe import PREDICTIONS_FILE
 from .registry import DatasetSelector, Registry, RegistryError, normalize_relative
 
 STAGE_ORDER = ("extract", "train", "test", "evaluate")
-EVAL_SCHEMES = ("holdout", "cross_validation", "both")
+EVAL_SCHEMES = (SCHEME_HOLDOUT, SCHEME_CV, "both")
 CV_POOLINGS = ("pooled",)
 
 DEFAULT_STAGE_COMMAND = ("python3", "-m", "relab.refpipe")
@@ -126,11 +126,11 @@ class EvalConfig:
 
     @property
     def uses_cv(self) -> bool:
-        return self.scheme in ("cross_validation", "both")
+        return self.scheme != SCHEME_HOLDOUT
 
     @property
     def uses_holdout(self) -> bool:
-        return self.scheme in ("holdout", "both")
+        return self.scheme != SCHEME_CV
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import tarfile
+import tempfile
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -45,6 +47,7 @@ from .hashing import (
     sha256_concat,
     sha256_file,
     write_once,
+    write_tree,
 )
 from .manifest import JobManifest, canonicalize, parse_manifest, render_manifest
 from .registry import normalize_relative
@@ -239,15 +242,26 @@ class CacheStore:
             raise IntegrityError(f"cache key {key} already bound to different outputs")
         return entry
 
+    def blobs(self, entry: CacheEntry) -> Dict[str, "_Blob"]:
+        """A cached unit's files by relative path, each read only on demand."""
+        return {rel: _Blob(self, d) for rel, d in entry.output_digests.items()}
+
     def materialize(self, entry: CacheEntry, dest_dir: Path) -> None:
         """Write a cached unit's files into dest_dir, verifying each blob."""
-        dest_dir = Path(dest_dir)
-        dest_dir.mkdir(parents=True, exist_ok=True)
-        for rel, digest in sorted(entry.output_digests.items()):
-            data = self.get_blob(digest)
-            target = dest_dir / rel
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(data)
+        write_tree(dest_dir, {rel: bytes(b) for rel, b in self.blobs(entry).items()})
+
+
+class _Blob:
+    """A stored blob: ``len`` is its size on disk, ``bytes`` its verified bytes."""
+
+    def __init__(self, store: CacheStore, digest: str):
+        self.store, self.digest = store, digest
+
+    def __len__(self) -> int:
+        return self.store.blob_path(self.digest).stat().st_size
+
+    def __bytes__(self) -> bytes:
+        return self.store.get_blob(self.digest)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +404,8 @@ def export_bundle(
 
     Returns (path, bundle digest). Exporting the same trial from the
     same store always produces identical bytes: entries are added in
-    sorted name order with zeroed metadata and no compression.
+    sorted name order with zeroed metadata and no compression. The archive
+    is renamed onto ``dest`` whole, so no reader sees a part of one.
     """
     record = ledger.get(trial_id)
     if record is None:
@@ -411,10 +426,18 @@ def export_bundle(
 
     dest = Path(dest)
     dest.parent.mkdir(parents=True, exist_ok=True)
-    with tarfile.open(dest, "w", format=tarfile.USTAR_FORMAT) as tar:
-        for name in sorted(files):
-            _bundle_add(tar, name, files[name])
-    return dest, sha256_file(dest)
+    fd, tmp = tempfile.mkstemp(dir=dest.parent, prefix=f"{dest.name}.", suffix=".tmp")
+    os.close(fd)
+    try:
+        with tarfile.open(tmp, "w", format=tarfile.USTAR_FORMAT) as tar:
+            for name in sorted(files):
+                _bundle_add(tar, name, files[name])
+        digest = sha256_file(tmp)
+        os.replace(tmp, dest)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return dest, digest
 
 
 def manifest_for_trial(record: TrialRecord, cache: CacheStore) -> JobManifest:

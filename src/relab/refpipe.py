@@ -25,12 +25,13 @@ import operator
 import os
 import sys
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .evalstats import auc, kfold_split
+from .evalstats import SCHEME_CV, SCHEME_HOLDOUT, auc, kfold_split
 from .hashing import canonical_json_bytes
 
 EVENT_TYPES = (
@@ -242,10 +243,7 @@ class EventLog:
         directory = Path(directory)
         meta = json.loads((directory / SESSION_META_FILE).read_text("utf-8"))
         events = directory / EVENTS_FILE
-        with open(events, newline="", encoding="utf-8") as f:
-            reader = csv.reader(f)
-            header = next(reader, [])
-            rows = [row for row in reader if row]
+        header, rows = _read_table(events)
         column = {name: i for i, name in enumerate(header)}
         missing = [name for name in EVENT_COLUMNS if name not in column]
         if missing:
@@ -275,19 +273,14 @@ class EventLog:
             "learners": list(self.learners),
         }
         (directory / SESSION_META_FILE).write_bytes(canonical_json_bytes(meta))
-        with open(directory / EVENTS_FILE, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(EVENT_COLUMNS)
-            order = np.lexsort(
-                (self.event_types, self.learner_ids.astype(str), self.timestamps)
-            )
-            writer.writerows(
-                zip(
-                    self.learner_ids[order].tolist(),
-                    format_utc_column(self.timestamps[order]),
-                    _EVENT_TYPE_NAMES[self.event_types[order]].tolist(),
-                )
-            )
+        order = np.lexsort(
+            (self.event_types, self.learner_ids.astype(str), self.timestamps)
+        )
+        _write_table(directory / EVENTS_FILE, EVENT_COLUMNS, zip(
+            self.learner_ids[order].tolist(),
+            format_utc_column(self.timestamps[order]),
+            _EVENT_TYPE_NAMES[self.event_types[order]].tolist(),
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -611,123 +604,114 @@ def predict(model: ModelParams, X: np.ndarray) -> np.ndarray:
 # CSV interchange used between stages
 
 
-def write_features_csv(path: Path, fm: FeatureMatrix) -> None:
+def _write_table(path: Path, header: Sequence[str], rows: Iterable) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["learner_id"] + fm.column_names())
-        for learner, row in zip(fm.learners, fm.counts.reshape(len(fm.learners), -1)):
-            writer.writerow([learner] + [int(v) for v in row])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_table(path: Path):
+    """-> (header, rows) as strings; blank lines skipped, an empty file ([], [])."""
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        return next(reader, []), [row for row in reader if row]
+
+
+def write_features_csv(path: Path, fm: FeatureMatrix) -> None:
+    counts = fm.counts.reshape(len(fm.learners), -1).tolist()
+    _write_table(path, ["learner_id"] + fm.column_names(),
+                 ([learner] + row for learner, row in zip(fm.learners, counts)))
 
 
 def read_features_csv(path: Path):
     """-> (learner ids, column names, float design matrix)."""
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        columns = header[1:]
-        learners, rows = [], []
-        for rec in reader:
-            learners.append(rec[0])
-            rows.append([float(v) for v in rec[1:]])
-    X = np.array(rows, dtype=float) if rows else np.zeros((0, len(columns)))
-    return learners, columns, X
+    header, rows = _read_table(path)
+    columns = header[1:]
+    X = np.array([[float(v) for v in r[1:]] for r in rows], dtype=float)
+    return [r[0] for r in rows], columns, X.reshape(len(rows), len(columns))
 
 
 def write_labels_csv(path: Path, lv: LabelVector) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["learner_id", "dropout"])
-        for learner, value in zip(lv.learners, lv.y):
-            writer.writerow([learner, int(value)])
+    _write_table(path, ["learner_id", "dropout"], zip(lv.learners, lv.y.tolist()))
 
 
 def read_labels_csv(path: Path):
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        next(reader)
-        learners, values = [], []
-        for rec in reader:
-            learners.append(rec[0])
-            values.append(int(rec[1]))
-    return learners, np.array(values, dtype=np.int8)
+    _, rows = _read_table(path)
+    return [r[0] for r in rows], np.array([int(r[1]) for r in rows], dtype=np.int8)
 
 
 def write_predictions_csv(path: Path, learner_ids, scores, labels) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["learner_id", "score", "label"])
-        for learner, score, label in zip(learner_ids, scores, labels):
-            writer.writerow([learner, repr(float(score)), int(label)])
+    _write_table(path, ["learner_id", "score", "label"], (
+        [learner, repr(float(score)), int(label)]
+        for learner, score, label in zip(learner_ids, scores, labels)
+    ))
 
 
 def read_predictions_csv(path: Path):
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        next(reader)
-        learners, scores, labels = [], [], []
-        for rec in reader:
-            learners.append(rec[0])
-            scores.append(float(rec[1]))
-            labels.append(int(rec[2]))
-    return learners, np.array(scores, dtype=float), np.array(labels, dtype=np.int8)
+    _, rows = _read_table(path)
+    labels = np.array([int(r[2]) for r in rows], dtype=np.int8)
+    return [r[0] for r in rows], np.array([float(r[1]) for r in rows]), labels
 
 
 # ---------------------------------------------------------------------------
 # stage entrypoint (runs inside the sandbox)
 
+# The DATA_DIR layout (``input_dir``), and the test dirs each scheme pools
+SESSIONS_DIR = "sessions"
+MODEL_DIR = "model"
+PREDS_DIR = "preds"
+_CV_FOLD_DIR = "cv_fold_"
+_SCHEME_PREDS = {SCHEME_HOLDOUT: SCHEME_HOLDOUT, SCHEME_CV: _CV_FOLD_DIR + "*"}
 
-def _read_params(data_dir: Path) -> dict:
-    path = data_dir / PARAMS_FILE
-    if path.exists():
-        return json.loads(path.read_text("utf-8"))
-    return {}
+
+def input_dir(stage: str, session_id: str, fold_index: Optional[int]) -> str:
+    """Where the outputs of a ``stage`` unit sit in a consuming unit's DATA_DIR."""
+    if stage == "extract":
+        return f"{SESSIONS_DIR}/{session_id}"
+    if stage == "train":
+        return MODEL_DIR
+    if stage == "test":
+        if fold_index is None:
+            return f"{PREDS_DIR}/{SCHEME_HOLDOUT}"
+        return f"{PREDS_DIR}/{_CV_FOLD_DIR}{fold_index:02d}"
+    raise ValueError(f"no unit reads the outputs of a {stage!r} unit")
 
 
-def _load_session_table(sessions_dir: Path):
-    """Pool features/labels from every session dir, row-keyed and sorted.
+def _unit_rows(data_dir: Path, params: dict, held_out: bool):
+    """This unit's rows of its sessions: (learner ids, X, y).
 
-    Returns (keys, learner_ids, X, y) where keys are (session_id,
-    learner_id) pairs in ascending order; fold assignment and train/test
-    row selection both index into this fixed order.
+    Every session's rows are pooled in (session_id, learner_id) order,
+    which fold assignment indexes. A fold unit takes its fold's rows
+    (``held_out``) or the rest; any other unit takes every row.
     """
-    rows = []
-    for sdir in sorted(p for p in sessions_dir.iterdir() if p.is_dir()):
+    keys, Xs, ys = [], [], []
+    for sdir in sorted(filter(Path.is_dir, (data_dir / SESSIONS_DIR).iterdir())):
         learners, _, X = read_features_csv(sdir / FEATURES_FILE)
         label_learners, y = read_labels_csv(sdir / LABELS_FILE)
         if learners != label_learners:
             raise ValueError(f"feature/label learner mismatch in {sdir.name}")
-        for i, learner in enumerate(learners):
-            rows.append(((sdir.name, learner), X[i], int(y[i])))
-    rows.sort(key=lambda item: item[0])
-    keys = [r[0] for r in rows]
-    X = np.array([r[1] for r in rows], dtype=float)
-    y = np.array([r[2] for r in rows], dtype=np.int8)
-    learner_ids = [k[1] for k in keys]
-    return keys, learner_ids, X, y
-
-
-def _fold_mask(params: dict, n: int) -> Optional[np.ndarray]:
-    """Boolean mask of rows belonging to this unit's fold, or None."""
-    if params.get("fold_count") is None:
-        return None
-    assignment = kfold_split(n, int(params["fold_count"]), int(params["fold_seed"]))
-    return assignment == int(params["fold_index"])
+        keys.extend((sdir.name, learner) for learner in learners)
+        Xs.append(X)
+        ys.append(y)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    if params.get("fold_count") is not None:
+        k, seed = int(params["fold_count"]), int(params["fold_seed"])
+        in_fold = kfold_split(len(keys), k, seed) == int(params["fold_index"])
+        order = [i for i, fold in zip(order, in_fold) if fold == held_out]
+    X, y = np.concatenate(Xs)[order], np.concatenate(ys)[order]
+    return [keys[i][1] for i in order], X, y
 
 
 def _stage_extract(data_dir: Path, output_dir: Path, params: dict) -> None:
     log = EventLog.from_dir(data_dir)
-    feature_weeks = int(params["feature_weeks"])
-    fm = extract_features(log, feature_weeks)
-    lv = label_dropout(log)
+    fm = extract_features(log, int(params["feature_weeks"]))
     write_features_csv(output_dir / FEATURES_FILE, fm)
-    write_labels_csv(output_dir / LABELS_FILE, lv)
+    write_labels_csv(output_dir / LABELS_FILE, label_dropout(log))
 
 
 def _stage_train(data_dir: Path, output_dir: Path, params: dict, seed: int) -> None:
-    _, _, X, y = _load_session_table(data_dir / "sessions")
-    fold = _fold_mask(params, len(y))
-    if fold is not None:
-        X, y = X[~fold], y[~fold]
+    _, X, y = _unit_rows(data_dir, params, held_out=False)
     hp = Hyperparams(**params["hyperparams"])
     std = Standardizer.fit(X)
     model = train_logreg(std.transform(X), y, hp, seed=seed)
@@ -739,43 +723,30 @@ def _stage_train(data_dir: Path, output_dir: Path, params: dict, seed: int) -> N
 
 
 def _stage_test(data_dir: Path, output_dir: Path, params: dict) -> None:
-    payload = json.loads((data_dir / "model" / MODEL_FILE).read_text("utf-8"))
+    payload = json.loads((data_dir / MODEL_DIR / MODEL_FILE).read_text("utf-8"))
     std = Standardizer.from_json_obj(payload["standardizer"])
     model = ModelParams.from_json_obj(payload["model"])
-    _, learner_ids, X, y = _load_session_table(data_dir / "sessions")
-    fold = _fold_mask(params, len(y))
-    if fold is not None:
-        X = X[fold]
-        y = y[fold]
-        learner_ids = [l for l, keep in zip(learner_ids, fold) if keep]
+    learner_ids, X, y = _unit_rows(data_dir, params, held_out=True)
     scores = predict(model, std.transform(X))
     write_predictions_csv(output_dir / PREDICTIONS_FILE, learner_ids, scores, y)
 
 
 def _stage_evaluate(data_dir: Path, output_dir: Path, params: dict) -> None:
-    preds_dir = data_dir / "preds"
+    """One AUC per scheme over the pooled predictions of its test dirs."""
     rows = []
-    week = int(params["week"])
     for scheme in params["schemes"]:
-        if scheme == "holdout":
-            _, scores, labels = read_predictions_csv(
-                preds_dir / "holdout" / PREDICTIONS_FILE
-            )
-            rows.append(
-                {"scheme": scheme, "auc": auc(scores, labels), "n": len(labels)}
-            )
-        elif scheme == "cross_validation":
-            folds = [
-                read_predictions_csv(fold_dir / PREDICTIONS_FILE)[1:]
-                for fold_dir in sorted(preds_dir.glob("cv_fold_*"))
-            ]
-            value = auc(np.concatenate([s for s, _ in folds]),
-                        np.concatenate([y for _, y in folds]))
-            n = sum(len(y) for _, y in folds)
-            rows.append({"scheme": scheme, "auc": value, "n": n})
-        else:
+        if scheme not in _SCHEME_PREDS:
             raise ValueError(f"unknown scheme {scheme!r}")
-    metrics = {"course_id": params["course_id"], "week": week, "rows": rows}
+        preds = [
+            read_predictions_csv(d / PREDICTIONS_FILE)[1:]
+            for d in sorted((data_dir / PREDS_DIR).glob(_SCHEME_PREDS[scheme]))
+        ]
+        if not preds:
+            raise ValueError(f"no predictions for scheme {scheme!r}")
+        scores, labels = (np.concatenate(column) for column in zip(*preds))
+        rows.append({"scheme": scheme, "auc": auc(scores, labels), "n": len(labels)})
+    metrics = {"course_id": params["course_id"], "week": int(params["week"]),
+               "rows": rows}
     (output_dir / METRICS_FILE).write_bytes(canonical_json_bytes(metrics))
 
 
@@ -789,19 +760,15 @@ def run_stage_from_env() -> int:
     except KeyError as exc:
         print(f"missing required environment variable: {exc}", file=sys.stderr)
         return 2
-    params = _read_params(data_dir)
+    path = data_dir / PARAMS_FILE
+    params = json.loads(path.read_text("utf-8")) if path.exists() else {}
+    stages = {"extract": _stage_extract, "train": partial(_stage_train, seed=seed),
+              "test": _stage_test, "evaluate": _stage_evaluate}
+    if stage not in stages:
+        print(f"unknown stage {stage!r}", file=sys.stderr)
+        return 2
     try:
-        if stage == "extract":
-            _stage_extract(data_dir, output_dir, params)
-        elif stage == "train":
-            _stage_train(data_dir, output_dir, params, seed)
-        elif stage == "test":
-            _stage_test(data_dir, output_dir, params)
-        elif stage == "evaluate":
-            _stage_evaluate(data_dir, output_dir, params)
-        else:
-            print(f"unknown stage {stage!r}", file=sys.stderr)
-            return 2
+        stages[stage](data_dir, output_dir, params)
     except Exception as exc:  # surfaced as a failed unit, never a crash dump
         print(f"{stage} stage failed: {exc}", file=sys.stderr)
         return 1

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import List, Mapping, Optional, Tuple
 
 from .hashing import canonical_json_bytes, sha256_bytes, sha256_file, write_once
+from .hashing import write_tree
 
 DEFAULT_MAX_EXPORT_BYTES = 64 * 1024 * 1024
 DEFAULT_EXPORT_ALLOWLIST = ("*.csv", "*.json")
@@ -379,18 +380,17 @@ class Registry:
         """
         session = self.load_course(course_id).session(session_id)
         src = self.session_dir(course_id, session_id)
+        files = {}
         for f in session.data_files:
             path = src / f.path
-            content = path.read_bytes()
+            files[f.path] = content = path.read_bytes()
             found = sha256_bytes(content)
             if found != f.digest:
                 raise RegistryError(
                     f"data drift in {path}: registered {f.digest[:12]}..., "
                     f"found {found[:12]}..."
                 )
-            target = Path(dest) / f.path
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(content)
+        write_tree(dest, files)
 
     def learner_count(self, course_id: str, session_id: str) -> Optional[int]:
         """A session's roster size from its ``session.json``, if readable."""

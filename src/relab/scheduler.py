@@ -54,7 +54,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
-from .evalstats import EvalReport, EvalRow, build_eval_report, session_roles
+from .evalstats import SCHEME_CV, SCHEME_HOLDOUT, EvalReport, EvalRow
+from .evalstats import build_eval_report, session_roles
 from .executor import (
     STATUS_SUCCEEDED,
     ExecutorBackend,
@@ -70,7 +71,7 @@ from .hashing import write_once
 from .manifest import JobManifest, ManifestError, canonicalize, parse_manifest
 from .manifest import render_manifest, validate_manifest
 from .provenance import CacheEntry, CacheStore, cache_key
-from .refpipe import METRICS_FILE, PARAMS_FILE, Hyperparams
+from .refpipe import METRICS_FILE, PARAMS_FILE, Hyperparams, input_dir
 from .registry import AccessPolicy, Registry
 
 TERMINAL_PHASES = ("succeeded", "failed", "partial", "cancelled")
@@ -267,14 +268,16 @@ def plan_units(
                 file_digests,
             )
 
-        tests = []
+        tests, schemes = [], []
         if use_holdout:
+            schemes.append(SCHEME_HOLDOUT)
             train_deps = [extracts[sessions[i].session_id] for i in train_idx]
             tests.append(train_and_test(
                 f"{course_id}:holdout", "", train_deps,
                 extracts[sessions[test_idx].session_id], {},
             ))
         if use_cv:
+            schemes.append(SCHEME_CV)
             k = manifest.eval_config.k
             cv_extract = extracts[sessions[cv_idx].session_id]
             for fold in range(1, k + 1):
@@ -284,11 +287,6 @@ def plan_units(
                     cv_extract.session_id, [cv_extract], cv_extract, fold_params,
                 ))
 
-        schemes = []
-        if use_holdout:
-            schemes.append("holdout")
-        if use_cv:
-            schemes.append("cross_validation")
         eval_params = {
             "week": manifest.feature_weeks,
             "schemes": schemes,
@@ -299,18 +297,6 @@ def plan_units(
              sorted(tests, key=lambda u: u.unit_id), eval_params)
 
     return tuple(units), tuple(sorted(data_digests))
-
-
-def _input_dir(dep: WorkUnit) -> str:
-    """Where a dependency's outputs sit in a consuming unit's DATA_DIR."""
-    if dep.stage == "extract":
-        return f"sessions/{dep.session_id}"
-    if dep.stage == "train":
-        return "model"
-    if dep.stage == "test":
-        fold = dep.params.get("fold_index")
-        return "preds/holdout" if fold is None else f"preds/cv_fold_{int(fold):02d}"
-    raise SchedulerError(f"no unit reads the outputs of a {dep.stage!r} unit")
 
 
 # ---------------------------------------------------------------------------
@@ -611,10 +597,7 @@ class Scheduler:
                     unit = units_by_id[heapq.heappop(ready)[-1]]
                     entry = self.cache.get(unit.cache_key)
                     if entry is not None:
-                        self._export(job, unit, {
-                            rel: self.cache.get_blob(digest)
-                            for rel, digest in entry.output_digests.items()
-                        })
+                        self._export(job, unit, self.cache.blobs(entry))
                         finish(unit.unit_id, UNIT_CACHED, _cached(entry))
                     else:
                         job.set_unit_state(unit.unit_id, UNIT_RUNNING)
@@ -704,13 +687,13 @@ class Scheduler:
 
         An extract gets its session's registered files from the registry,
         and fails on bytes that no longer match their registered digest;
-        every dependency's outputs go where its own stage puts them
-        (``_input_dir``).
+        every dependency's outputs go where ``refpipe.input_dir`` puts them.
         """
         if unit.stage == "extract":
             self.registry.materialize_session(unit.course_id, unit.session_id, data)
         for dep in deps:
-            self.cache.materialize(self._entry(dep), data / _input_dir(dep))
+            where = input_dir(dep.stage, dep.session_id, dep.params.get("fold_index"))
+            self.cache.materialize(self._entry(dep), data / where)
         (data / PARAMS_FILE).write_bytes(canonical_json_bytes(dict(unit.params)))
 
     def _entry(self, unit: WorkUnit) -> CacheEntry:

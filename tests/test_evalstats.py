@@ -8,8 +8,10 @@ test) or from closed-form hand calculations frozen as literals.
 
 from __future__ import annotations
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as spstats
 
+import relab
 from relab import evalstats
 from relab.evalstats import (
     PairedAuc,
@@ -410,3 +413,17 @@ class TestEvalReport:
             sort_keys=True,
         )
         assert a == b
+
+
+def test_only_evalstats_spells_a_scheme_name():
+    # manifest, scheduler and refpipe name a scheme by SCHEME_HOLDOUT and
+    # SCHEME_CV; a unit-id part such as ":holdout" is no scheme name
+    schemes = (evalstats.SCHEME_HOLDOUT, evalstats.SCHEME_CV)
+    spelled = []
+    for path in sorted(Path(relab.__file__).parent.glob("*.py")):
+        if path.name == "evalstats.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Constant) and node.value in schemes:
+                spelled.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert spelled == []

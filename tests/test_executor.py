@@ -204,7 +204,6 @@ class TestRunStage:
         stage = sh_stage('printf hello > "$OUTPUT_DIR/out.csv"', outputs=["out.csv"])
         result = run_stage(stage, sb, BACKEND)
         assert result.status == STATUS_SUCCEEDED
-        assert result.ok
         assert result.exit_code == 0
         expected = hashlib.sha256(b"hello").hexdigest()
         assert result.output_digests == {"out.csv": expected}

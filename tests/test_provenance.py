@@ -586,6 +586,42 @@ class TestBundles:
         assert digest_a == digest_b
         assert (tmp_path / "a.tar").read_bytes() == (tmp_path / "b.tar").read_bytes()
 
+    def test_concurrent_exports_to_one_path_each_read_a_whole_archive(self, tmp_path):
+        # `GET /trials/{id}/bundle` exports every request for a trial to one
+        # path, from the threads of one server; a larger member makes each
+        # archive take many writes
+        cache = CacheStore(tmp_path / "cache")
+        ledger = TrialLedger(tmp_path / "ledger.jsonl")
+        report = make_report(tmp_path, cache)
+        big = FakeEntry("u-test", "test", {"p.csv": cache.put_blob(b"0.5\n" * 65536)})
+        report = replace(report, entries=report.entries + (big,))
+        record = record_trial(ledger, report, make_manifest(), cache=cache)
+        dest = tmp_path / "bundles" / "t.tar"
+        bodies = []
+
+        def export(start):
+            start.wait(timeout=60)
+            path, digest = export_bundle(ledger, cache, record.trial_id, dest)
+            bodies.append((digest, path.read_bytes()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                start = threading.Barrier(4)
+                threads = [threading.Thread(target=export, args=(start,))
+                           for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(bodies) == 80
+        assert all(sha256_bytes(body) == digest for digest, body in bodies)
+        assert len(set(bodies)) == 1
+        assert os.listdir(dest.parent) == ["t.tar"]
+
     def test_unknown_trial_rejected(self, tmp_path):
         cache, ledger, _ = self.setup_trial(tmp_path)
         with pytest.raises(ProvenanceError, match="unknown trial"):

@@ -6,11 +6,13 @@ examples rely on separability arguments rather than frozen weights.
 
 from __future__ import annotations
 
+import ast
 import datetime as dt
 import hashlib
 import json
 import os
 from dataclasses import asdict
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relab
 from relab import refpipe
 from relab.evalstats import auc
 from relab.hashing import canonical_json_bytes
@@ -844,3 +847,31 @@ class TestStageEntrypoint:
                     ids, _, _ = refpipe.read_predictions_csv(out / "predictions.csv")
                     seen.extend(ids)
         assert sorted(seen) == learners
+
+
+def test_only_refpipe_spells_the_data_dir_layout():
+    # the scheduler stages a unit's inputs where refpipe's stages read
+    # them, both through refpipe.input_dir. A literal that is a layout
+    # directory, alone or leading a path, or a fold directory, counts.
+    # "sessions" alone is also a registry descriptor key, so it counts
+    # only where it joins a path.
+    spelled = []
+    for path in sorted(Path(relab.__file__).parent.glob("*.py")):
+        if path.name == "refpipe.py":
+            continue
+        tree = ast.parse(path.read_text("utf-8"))
+        joined = {
+            id(operand)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            for operand in (node.left, node.right)
+        }
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Constant) and isinstance(node.value, str)):
+                continue
+            head, slash, _ = node.value.partition("/")
+            if "cv_fold_" in node.value or head in ("model", "preds") or (
+                head == "sessions" and (slash or id(node) in joined)
+            ):
+                spelled.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert spelled == []

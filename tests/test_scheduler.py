@@ -23,6 +23,7 @@ from relab.manifest import (
     default_manifest,
     validate_manifest,
 )
+from relab.provenance import IntegrityError
 from relab.registry import AccessPolicy, DatasetSelector, Registry, check_export
 from relab.scheduler import (
     JobState,
@@ -1184,6 +1185,31 @@ class TestCacheHitExports:
                     denied[f"{e.unit_id}/{decision.path}"] = decision.reason
         assert set(denied.values()) == reasons
         assert trees[0] and not set(denied) & set(trees[0])
+        assert trees[1] == trees[0]
+
+    def test_cached_rerun_reads_no_denied_blob(self, corpus_registry, tmp_path):
+        sched = Scheduler(tmp_path, corpus_registry)
+        trees, reports = [], []
+        for rerun in (False, True):
+            job_id = sched.submit(WITH_RAW_DAT)
+            sched.plan(job_id)
+            reports.append(sched.execute(job_id))
+            assert reports[-1].phase == "succeeded"
+            results = sched.jobs_dir / job_id / "results"
+            trees.append({
+                p.relative_to(results).as_posix(): p.read_bytes()
+                for p in results.rglob("*") if p.is_file()
+            })
+            if not rerun:
+                # raw.dat's blob keeps its size but no longer matches its
+                # digest, so any read of it fails the rerun
+                (digest,) = {e.output_digests["raw.dat"] for e in reports[0].entries
+                             if "raw.dat" in e.output_digests}
+                blob = sched.cache.blob_path(digest)
+                blob.write_bytes(blob.read_bytes().upper())
+                with pytest.raises(IntegrityError):
+                    sched.cache.get_blob(digest)
+        assert reports[1].cache_hits == len(reports[1].entries)
         assert trees[1] == trees[0]
 
     def test_each_denial_is_an_export_event(self, corpus_registry, tmp_path):
